@@ -14,7 +14,7 @@ pipelined ingestion front-end (``ShardedSketch(pipeline=...)``):
   buffer-sized dispatches and a background thread overlaps partitioning
   (and the blocking pipe sends) with the workers' applies.  Timed
   passes end with a query, so the pipelined numbers pay their full
-  ``flush`` + ``collect`` sync.
+  ``flush`` plus the workers' answer to the query.
 * two context rows (ungated): the same comparison under **scalar**
   ``update`` calls on a resident 4-shard sketch (synchronously
   ``S`` pipe messages *per packet* — the O(S) path the write buffer
@@ -187,7 +187,7 @@ def time_feed(
         for _ in range(repeats):
             t0 = perf_counter()
             drive(sharded, stream)
-            sharded.query(probe)  # drains the pipeline, pays the collect
+            sharded.query(probe)  # drains the pipeline and the workers
             best = min(best, perf_counter() - t0)
     finally:
         sharded.close()

@@ -17,8 +17,9 @@ persistent shard workers:
 * the same run times sharded ingestion through the round-trip
   ``ProcessExecutor`` against the ``PersistentProcessExecutor`` at
   1/2/4/8 shards (1 shard is the executor-bypassing delegation path,
-  reported for context).  Timed passes include the post-batch state
-  sync (a query), so the persistent numbers pay their ``collect``.
+  reported for context).  Timed passes end with a query, which the
+  persistent workers answer only after applying every batch, so the
+  persistent numbers pay for all of their in-flight work.
   The full run gates that persistent beats the round-trip on the
   4-shard critical path.
 * ``--smoke`` shrinks the workload for CI and relaxes the memento gate
@@ -274,7 +275,7 @@ def time_executor(
             t0 = perf_counter()
             for start in range(0, n, CHUNK):
                 sharded.update_many(stream[start : start + CHUNK])
-            sharded.query(probe)  # persistent pays its collect here
+            sharded.query(probe)  # persistent waits for its workers here
             best = min(best, perf_counter() - t0)
     finally:
         sharded.close()

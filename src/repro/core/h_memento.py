@@ -36,7 +36,7 @@ from ..hierarchy.domain import Hierarchy
 from ..hierarchy.hhh_output import compute_hhh
 from .api import Entry, WindowedEntries
 from .batching import BatchIngest, as_batch
-from .kernel import plan_from_positions
+from .kernel import IngestPlan, plan_from_positions
 from .memento import Memento
 from .sampling import draw_decision_array, draw_decisions, make_sampler
 
@@ -248,6 +248,30 @@ class HMemento(BatchIngest):
         prefix_at = self.hierarchy.prefix_at
         self._memento.full_update_many(
             [prefix_at(packet, next_pattern()) for packet in packets]
+        )
+
+    def ingest_plan(self, plan: IngestPlan, *, sampled: bool = False) -> None:
+        """Consume a kernel plan; ``sampled=True`` takes the fused path.
+
+        Byte-identical to the generic segment replay (``ingest_samples``
+        per segment, ``ingest_gap`` between) under a fixed seed: pattern
+        draws happen in item order, the selected packets map to their
+        prefixes at the same positions, and the prefix plan rides the
+        shared Memento's span-fused ``ingest_plan(..., sampled=True)`` —
+        the same shape :meth:`update_many` builds after its coin flips.
+        A resident controller shard thereby applies a scattered plan of
+        many reports in one call.  ``sampled=False`` keeps the generic
+        replay (every owned packet flips its own coin).
+        """
+        if not sampled:
+            super().ingest_plan(plan)
+            return
+        self._updates += plan.n
+        next_pattern = self._next_pattern
+        prefix_at = self.hierarchy.prefix_at
+        prefixes = [prefix_at(packet, next_pattern()) for packet in plan.items]
+        self._memento.ingest_plan(
+            IngestPlan(plan.n, plan.positions, prefixes), sampled=True
         )
 
     def ingest_gap(self, count: int) -> None:

@@ -21,14 +21,17 @@ strategies ship:
 * :class:`PersistentProcessExecutor` — one long-lived worker process per
   shard holding the shard sketch **resident**: the initial state is
   shipped once (``seed``), each batch sends only its per-shard plan
-  (positions + owned items) over a pipe, and state returns to the parent
-  only on demand (``collect``, which :class:`ShardedSketch` triggers
-  lazily at the first query after ingestion).  This removes the
+  (positions + owned items) over a pipe, and reads run **inside** the
+  workers: ``call(fn, *args)`` evaluates ``fn(shard, *args)`` where the
+  shard lives and ships back only the result — a point query costs one
+  float per asked worker.  Full state returns to the parent only for
+  whole-sketch reads (``collect``, itself a ``call`` of a function that
+  returns the shard).  This removes the
   per-batch state round-trip that makes :class:`ProcessExecutor`
   profitable only for huge batches, and it is the strategy whose
   ingestion critical path actually scales with shard count.  Marked
   ``stateful = True`` so the sharding layer switches to the
-  seed/submit/collect protocol instead of ``map``.
+  seed/submit/call protocol instead of ``map``.
 
   The plan payload channel is the ``transport`` knob: ``"pipe"``
   (default) pickles each task into the worker pipe; ``"shm"`` adds one
@@ -44,7 +47,7 @@ The stateless executors implement ``map(fn, tasks)`` — apply
 ``fn(*task)`` for each task, returning results in task order — and
 ``close()``.  Any object with that surface can be passed wherever an
 executor name is accepted; objects additionally exposing the stateful
-protocol (``stateful``/``seed``/``submit``/``broadcast``/``collect``)
+protocol (``stateful``/``seed``/``submit``/``broadcast``/``call``)
 get the resident-worker treatment.
 """
 
@@ -70,7 +73,7 @@ __all__ = [
 #: Plan payload channels the persistent executor supports.
 TRANSPORTS = ("pipe", "shm")
 
-#: How long :meth:`PersistentProcessExecutor.collect` waits for a worker
+#: How long :meth:`PersistentProcessExecutor.call` waits for a worker
 #: reply before raising.  A healthy worker answers in milliseconds even
 #: with a large resident state; the deadline exists so a wedged or dead
 #: worker turns into a loud, diagnosable failure instead of an infinite
@@ -156,6 +159,11 @@ class ProcessExecutor(_PoolExecutor):
     _pool_cls = ProcessPoolExecutor
 
 
+def _shard_state(shard):
+    """The shard itself: :meth:`PersistentProcessExecutor.collect`'s call."""
+    return shard
+
+
 def _persistent_worker(
     conn,
     ring_args: Optional[Tuple] = None,
@@ -170,11 +178,12 @@ def _persistent_worker(
     shared-memory ring named by ``ring_args`` and applies them, retiring
     the slot afterwards **whether or not the apply succeeded** (a
     poisoned worker that stopped retiring would deadlock the parent's
-    backpressure wait); ``("collect",)`` ships the current state (or the
-    first recorded failure) back; ``("stop",)`` exits.  A failed apply
-    poisons the worker — later applies are skipped and the error
-    surfaces at the next collect — so the parent never silently
-    continues on half-applied state.
+    backpressure wait); ``("call", fn, *args)`` replies with
+    ``fn(shard, *args)`` (or the first recorded failure); ``("stop",)``
+    exits.  A failed apply poisons the worker — later applies are
+    skipped and the error surfaces at the next call — so the parent
+    never silently continues on half-applied state.  A failed call
+    replies with its traceback but leaves the shard untouched.
 
     Orphan safety: a plain blocking ``recv`` cannot notice a SIGKILLed
     parent under the fork start method — every later-forked sibling
@@ -230,12 +239,12 @@ def _persistent_worker(
                     error = traceback.format_exc()
                 finally:
                     ring.retire()
-            elif kind == "collect":
+            elif kind == "call":
                 if error is not None:
                     conn.send(("error", error))
                 else:
                     try:
-                        conn.send(("state", shard))
+                        conn.send(("ok", msg[1](shard, *msg[2:])))
                     except BaseException:
                         conn.send(("error", traceback.format_exc()))
             elif kind == "seed":
@@ -256,10 +265,12 @@ class PersistentProcessExecutor:
     initial state once; ``submit(fn, tasks)`` sends one
     ``fn(shard, *task)`` application per worker **without waiting** (the
     parent can partition the next batch while workers apply — applies on
-    one worker are strictly ordered by the pipe); ``collect()`` is the
-    synchronization point that returns the current shard states (and
-    raises if any worker failed since the last seed).  ``close()``
-    terminates the workers; the sketch re-seeds lazily afterwards.
+    one worker are strictly ordered by the pipe); ``call(fn, *args)`` is
+    the synchronization point that runs ``fn(shard, *args)`` after every
+    earlier apply and returns the results (raising if any worker failed
+    since the last seed), and ``collect()`` is the ``call`` that returns
+    the shard states themselves.  ``close()`` terminates the workers;
+    the sketch re-seeds lazily afterwards.
     """
 
     stateful = True
@@ -383,28 +394,41 @@ class PersistentProcessExecutor:
         for conn in self._conns:
             conn.send(("apply", fn, *args))
 
-    def collect(
-        self, timeout: Optional[float] = DEFAULT_COLLECT_TIMEOUT
+    def call(
+        self,
+        fn: Callable,
+        *args,
+        worker: Optional[int] = None,
+        timeout: Optional[float] = DEFAULT_COLLECT_TIMEOUT,
     ) -> List:
-        """Fetch current shard states (the sync point; raises on failure).
+        """Run ``fn(shard, *args)`` inside the workers; return the results.
 
-        Each worker gets up to ``timeout`` seconds to start replying
-        (``None`` waits forever).  The deadline is far above any healthy
-        reply latency — it exists so a wedged or silently-dead worker
-        surfaces as a ``RuntimeError`` naming the worker and its state
-        instead of deadlocking the parent (and CI) indefinitely.
+        ``worker`` asks one worker only (the list then has one entry);
+        by default every worker answers, in shard order.  The call is
+        queued behind every earlier apply on the same pipe, so it sees
+        all ingestion submitted so far.  ``fn`` must be picklable
+        (module-level) and so must its result.  Every asked worker's
+        reply is read before a failure is raised, so the pipes stay in
+        step.  Each worker gets up to ``timeout`` seconds to start
+        replying (``None`` waits forever).  The deadline is far above
+        any healthy reply latency — it exists so a wedged or
+        silently-dead worker surfaces as a ``RuntimeError`` naming the
+        worker and its state instead of deadlocking the parent (and CI)
+        indefinitely.
         """
-        for conn in self._conns:
-            conn.send(("collect",))
-        states: List = []
+        indices = range(len(self._conns)) if worker is None else (worker,)
+        for index in indices:
+            self._conns[index].send(("call", fn, *args))
+        results: List = []
         failures: List[str] = []
-        for index, conn in enumerate(self._conns):
+        for index in indices:
+            conn = self._conns[index]
             if timeout is not None and not conn.poll(timeout):
-                worker = self._workers[index]
+                process = self._workers[index]
                 status = (
                     "alive"
-                    if worker.is_alive()
-                    else f"dead (exitcode {worker.exitcode})"
+                    if process.is_alive()
+                    else f"dead (exitcode {process.exitcode})"
                 )
                 raise RuntimeError(
                     f"persistent shard worker {index} sent no reply for "
@@ -413,14 +437,20 @@ class PersistentProcessExecutor:
             kind, payload = conn.recv()
             if kind == "error":
                 failures.append(payload)
-                states.append(None)
+                results.append(None)
             else:
-                states.append(payload)
+                results.append(payload)
         if failures:
             raise RuntimeError(
                 "persistent shard worker(s) failed:\n" + "\n".join(failures)
             )
-        return states
+        return results
+
+    def collect(
+        self, timeout: Optional[float] = DEFAULT_COLLECT_TIMEOUT
+    ) -> List:
+        """Fetch current shard states (a :meth:`call` returning each shard)."""
+        return self.call(_shard_state, timeout=timeout)
 
     def close(self) -> None:
         """Stop all resident workers (idempotent); state in them is lost.
@@ -473,7 +503,7 @@ def make_executor(spec: object = "serial"):
 
     The stateful (resident-worker) protocol is checked **first**: an
     executor declaring ``stateful`` with the full
-    ``seed``/``submit``/``broadcast``/``collect``/``close`` surface gets
+    ``seed``/``submit``/``broadcast``/``call``/``close`` surface gets
     the resident treatment even when it also exposes a stateless
     ``map()`` — matching how :class:`ShardedSketch` routes ingestion off
     the ``stateful`` flag.
@@ -494,7 +524,7 @@ def make_executor(spec: object = "serial"):
         # would defer the failure to a mid-ingestion AttributeError
         missing = [
             name
-            for name in ("seed", "submit", "broadcast", "collect", "close")
+            for name in ("seed", "submit", "broadcast", "call", "close")
             if getattr(spec, name, None) is None
         ]
         if missing:
@@ -511,5 +541,5 @@ def make_executor(spec: object = "serial"):
         return spec
     raise TypeError(
         f"executor must be a name, expose map()/close(), or expose the "
-        f"stateful seed/submit/broadcast/collect/close protocol, got {spec!r}"
+        f"stateful seed/submit/broadcast/call/close protocol, got {spec!r}"
     )

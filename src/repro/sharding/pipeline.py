@@ -3,19 +3,25 @@
 Two pieces remove the remaining serialization on the sharded ingest
 critical path:
 
-* :class:`WriteBuffer` — a bounded, order-preserving coalescing buffer.
-  Scalar ``update``/``ingest_sample`` calls and small report-scale
-  batches (the netwide controller receives tens of samples per report)
-  are appended to the current run and dispatched as one large batch once
-  ``buffer_size`` items accumulate.  On a resident
-  :class:`~repro.sharding.executors.PersistentProcessExecutor` this
-  turns the former O(S)-pipe-messages-per-packet scalar path into
-  O(S) messages per *buffer*, and on every executor it amortizes the
-  per-dispatch partition/plan cost over thousands of packets.
-  Consecutive same-kind writes coalesce into a single op (gap advances
-  collapse into one count), so order across kinds is preserved exactly.
+* :class:`WriteBuffer` — a bounded, order-preserving buffer that records
+  writes as **positional runs**.  A run is the items of one ingestion
+  method in arrival order, the running stream length ``n`` they cover,
+  and the window advances between them kept as ``(item index, count)``
+  gap marks.  A gap does not open a new op: it only widens the stream
+  positions of the items written after it.  At spill each run becomes
+  one ``(items, positions, n)`` triple — ``positions=None`` for a dense
+  run without gaps, so a plain ``update_many`` feed does no per-item
+  position work — which the sharded sketch partitions once into one
+  per-shard plan (global positions plus the total, the shape
+  :func:`~repro.core.kernel.plan_from_positions` takes).  A flush of
+  ``K`` controller reports (samples plus a gap each) therefore costs
+  one apply message per shard instead of ``~2K`` messages.  Only a
+  method switch closes a run; a buffer holding nothing but gaps spills
+  one :data:`GAP` op.  Scalar ``update``/``ingest_sample`` calls and
+  report-scale batches are dispatched once ``buffer_size`` items (plus
+  gap marks) accumulate.
 * :class:`PipelinedDispatcher` — a background partitioner thread fed by
-  a bounded queue of coalesced ops.  The caller enqueues and returns;
+  a bounded queue of buffered ops.  The caller enqueues and returns;
   the thread partitions and submits.  On the persistent executor
   ``submit`` does not wait for the workers, but the pipe *send* blocks
   once the OS buffer fills — previously stalling the parent until the
@@ -27,10 +33,10 @@ critical path:
 
 Both are synchronized through a single ``drain`` point: the sharded
 sketch's ``flush()`` pushes buffered writes into the queue and waits for
-the thread to go idle, and every query path routes through it (via
-``_sync_shards``), so pipelined ingestion stays result-identical to the
-synchronous paths — sharded-over-exact still matches the unsharded
-oracle, which the differential tests in ``tests/sharding/`` pin.
+the thread to go idle, and every query path routes through it, so
+pipelined ingestion stays result-identical to the synchronous paths —
+sharded-over-exact still matches the unsharded oracle, which the
+differential tests in ``tests/sharding/`` pin.
 
 A failed dispatch poisons the pipeline exactly like a failed apply
 poisons a resident worker: later ops are consumed but dropped (so
@@ -48,6 +54,8 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 __all__ = ["PipelineConfig", "make_pipeline_config", "WriteBuffer", "PipelinedDispatcher"]
 
 #: Queue sentinel asking the dispatcher thread to exit.
@@ -55,6 +63,11 @@ _STOP = object()
 
 #: Op-kind tag for window advances (items ops carry their method name).
 GAP = "ingest_gap"
+
+#: A positional run: ``(items, positions, n)`` (see :class:`WriteBuffer`).
+Run = Tuple[List, Optional[np.ndarray], int]
+#: A buffered op: ``(method, run)`` or ``(GAP, count)``.
+Op = Tuple[str, Union[Run, int]]
 
 
 @dataclass(frozen=True)
@@ -110,51 +123,84 @@ def make_pipeline_config(spec: object) -> Optional[PipelineConfig]:
 
 
 class WriteBuffer:
-    """Order-preserving coalescing buffer of ``(method, payload)`` ops.
+    """Order-preserving buffer of positional runs.
 
-    Payloads are item lists for ingestion methods and a plain count for
-    :data:`GAP` advances.  Consecutive writes of the same kind extend
-    the open op instead of appending a new one, so a scalar-update loop
-    costs one growing list and gap runs collapse into one integer —
-    the same run-length structure the ingest plans encode downstream.
+    :meth:`drain` returns ``(method, (items, positions, n))`` ops for
+    item runs and ``(GAP, count)`` for a buffer that saw only window
+    advances.  Within a run, ``positions`` are the items' indices in the
+    run's ``n``-packet stream slice (ascending ``int64``), or ``None``
+    when no gap separates them — a dense run of ``n == len(items)``.
+    Consecutive writes of the same method extend the open run, and gaps
+    collapse into marks on it, so a scalar-update loop costs one
+    growing list and a report stream one list plus one mark per report.
     """
 
-    __slots__ = ("capacity", "_ops", "_pending")
+    __slots__ = ("capacity", "_ops", "_method", "_items", "_marks", "_n", "_pending")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._ops: List[Tuple[str, Union[List, int]]] = []
+        self._ops: List[Op] = []
+        self._method: Optional[str] = None
+        self._items: List = []
+        #: ``(item index, count)``: ``count`` packets pass before item
+        #: ``index`` (``index == len(items)`` marks a trailing gap)
+        self._marks: List[Tuple[int, int]] = []
+        self._n = 0
         self._pending = 0
 
     @property
     def pending(self) -> int:
-        """Buffered item count (gap advances count one each)."""
+        """Buffered item count (each gap mark counts one)."""
         return self._pending
 
     def add_items(self, method: str, items: Sequence) -> bool:
         """Buffer ``items`` under ``method``; True when a flush is due."""
-        ops = self._ops
-        if ops and ops[-1][0] == method:
-            ops[-1][1].extend(items)
-        else:
-            ops.append((method, list(items)))
+        if method != self._method:
+            if self._items:
+                self._close_run()
+            self._method = method
+        self._items.extend(items)
+        self._n += len(items)
         self._pending += len(items)
         return self._pending >= self.capacity
 
     def add_gap(self, count: int) -> bool:
         """Buffer a window advance; True when a flush is due."""
-        ops = self._ops
-        if ops and ops[-1][0] == GAP:
-            ops[-1] = (GAP, ops[-1][1] + count)
+        marks = self._marks
+        at = len(self._items)
+        if marks and marks[-1][0] == at:
+            marks[-1] = (at, marks[-1][1] + count)
         else:
-            ops.append((GAP, count))
+            marks.append((at, count))
             self._pending += 1
+        self._n += count
         return self._pending >= self.capacity
 
-    def drain(self) -> List[Tuple[str, Union[List, int]]]:
+    def _close_run(self) -> None:
+        """Move the open run (or a gap-only advance) to the op list."""
+        items, marks, n = self._items, self._marks, self._n
+        if items:
+            positions = None
+            if marks:
+                count = len(items)
+                at, gaps = zip(*marks)
+                shift = np.zeros(count + 1, dtype=np.int64)
+                shift[list(at)] = gaps
+                positions = np.arange(count, dtype=np.int64)
+                positions += np.cumsum(shift[:count])
+            self._ops.append((self._method, (items, positions, n)))
+        elif n:
+            self._ops.append((GAP, n))
+        self._method = None
+        self._items = []
+        self._marks = []
+        self._n = 0
+
+    def drain(self) -> List[Op]:
         """Pop and return all buffered ops (in write order)."""
+        self._close_run()
         ops = self._ops
         self._ops = []
         self._pending = 0
@@ -162,10 +208,12 @@ class WriteBuffer:
 
 
 class PipelinedDispatcher:
-    """Bounded-queue background dispatcher of coalesced ingestion ops.
+    """Bounded-queue background dispatcher of buffered ingestion ops.
 
-    ``apply_items(items, method)`` and ``apply_gap(count)`` are the
-    sharded sketch's synchronous dispatch entry points; the thread calls
+    ``apply_items(payload, method)`` and ``apply_gap(count)`` are the
+    sharded sketch's synchronous dispatch entry points (``payload`` is
+    whatever the op carries — a :data:`Run` from the write buffer); the
+    thread calls
     them one op at a time, in submission order, so the executor sees
     exactly the sequence a synchronous caller would have produced.
     """
@@ -218,7 +266,7 @@ class PipelinedDispatcher:
                 self._queue.task_done()
 
     def submit(self, method: str, payload: Union[Sequence, int]) -> None:
-        """Enqueue one coalesced op (blocks when ``depth`` are in flight)."""
+        """Enqueue one buffered op (blocks when ``depth`` are in flight)."""
         if self._thread is None or not self._thread.is_alive():
             self._thread = threading.Thread(
                 target=self._run, name="sharded-ingest-pipeline", daemon=True

@@ -31,17 +31,27 @@ Two query disciplines cover the two ways keys relate to routing:
   window-aware merge (:func:`repro.core.merge.merge_windowed_entry_sets`)
   with its summed-quantum error bound.
 
-Merged snapshots are cached and invalidated by an ingestion version
-counter, so repeated queries between batches merge once.
+On a stateful (resident-worker) executor the shard state lives in the
+workers, and reads go where the state is.  Point reads — ``query``,
+``query_lower``, ``query_point`` — flush, then ask the workers through
+the executor's ``call``: route mode asks only the owning shard's worker,
+sum mode asks every worker and adds the answers, and only floats cross
+the pipes.  Whole-sketch reads (``entries``, ``merged_window``,
+``heavy_hitters``, ``output``, ``candidates``, ``shards``,
+``state_snapshot``) and ``close`` pull the full shard state back into
+the parent once per ingestion epoch (``_sync_shards``) and merge it
+there; merged snapshots are cached and invalidated by an ingestion
+version counter, so repeated whole-sketch reads between batches merge
+once.
 
 ``pipeline=...`` enables the **pipelined ingestion front-end**
-(:mod:`repro.sharding.pipeline`): scalar and report-scale writes
-coalesce in a bounded buffer and a background partitioner thread
-overlaps chunk partitioning (and the blocking pipe sends) with the
+(:mod:`repro.sharding.pipeline`): writes accumulate in a bounded buffer
+as positional runs — items plus the gaps between them — and a
+background partitioner thread turns each run into one plan per shard,
+overlapping partitioning (and the blocking pipe sends) with the
 persistent executor's worker applies.  Every query path drains the
-pipeline first (via ``_sync_shards``), so results stay identical to
-synchronous ingestion; :meth:`ShardedSketch.flush` is the explicit sync
-point.
+pipeline first (via :meth:`ShardedSketch.flush`), so results stay
+identical to synchronous ingestion.
 """
 
 from __future__ import annotations
@@ -61,8 +71,8 @@ from ..core.merge import (
     merge_entry_sets,
     merge_windowed_entry_sets,
 )
-from .executors import make_executor
-from .pipeline import PipelinedDispatcher, WriteBuffer, make_pipeline_config
+from .executors import _shard_state, make_executor
+from .pipeline import PipelinedDispatcher, Run, WriteBuffer, make_pipeline_config
 
 __all__ = ["ShardedSketch", "shard_index"]
 
@@ -205,6 +215,16 @@ def _apply_shard_gap(shard, count):
     return shard
 
 
+def _shard_estimate(shard, key, names):
+    """``key``'s estimate from the first of ``names`` the shard implements,
+    else plain ``query`` (module-level: resident workers run it)."""
+    for name in names:
+        fn = getattr(shard, name, None)
+        if fn is not None:
+            return fn(key)
+    return shard.query(key)
+
+
 class ShardedSketch(BatchIngest):
     """Hash-partitioned ensemble of sketches behind one SlidingSketch face.
 
@@ -309,8 +329,9 @@ class ShardedSketch(BatchIngest):
                 )
             self.windowed = bool(windowed)
         #: a stateful executor keeps shard state resident in its workers:
-        #: ingestion ships only plans, and ``_sync_shards`` pulls state
-        #: back lazily at the first query after a batch
+        #: ingestion ships only plans, point reads are answered in the
+        #: workers, and ``_sync_shards`` pulls state back lazily at the
+        #: first whole-sketch read after a batch
         self._stateful = bool(getattr(self._executor, "stateful", False))
         self._buffer = (
             WriteBuffer(self._pipeline_config.buffer_size)
@@ -367,29 +388,41 @@ class ShardedSketch(BatchIngest):
         owners = mixed % np.uint64(self.num_shards)
         return owners, probe
 
-    def _partition(self, items: Sequence) -> List[tuple]:
-        """Split a batch into per-shard ``(positions, items)`` list pairs."""
+    def _partition(
+        self, items: Sequence, positions: Optional[np.ndarray] = None
+    ) -> List[tuple]:
+        """Split a batch into per-shard ``(positions, items)`` list pairs.
+
+        ``positions`` are the items' stream positions within a run
+        (``None``: the batch index itself); each shard gets the
+        positions of the items it owns.
+        """
         shards = self.num_shards
         routed = self._route_owners(items)
         if routed is not None:
             owners, probe = routed
             groups = _group_by_owner(owners, shards)
             gathered = _gather_items(probe, groups)
+            if positions is not None:
+                groups = [positions[group] for group in groups]
             return [
-                (positions.tolist(), owned.tolist())
-                for positions, owned in zip(groups, gathered)
+                (owned_at.tolist(), owned.tolist())
+                for owned_at, owned in zip(groups, gathered)
             ]
         key_fn = self._key_fn
         per_positions: List[list] = [[] for _ in range(shards)]
         per_items: List[list] = [[] for _ in range(shards)]
-        for idx, item in enumerate(items):
+        index = range(len(items)) if positions is None else positions.tolist()
+        for idx, item in zip(index, items):
             key = item if key_fn is None else key_fn(item)
             j = shard_index(key, shards)
             per_positions[j].append(idx)
             per_items[j].append(item)
         return list(zip(per_positions, per_items))
 
-    def _partition_columns(self, items: Sequence) -> Optional[List[tuple]]:
+    def _partition_columns(
+        self, items: Sequence, positions: Optional[np.ndarray] = None
+    ) -> Optional[List[tuple]]:
         """Columnar :meth:`_partition`: per-shard ``(positions, items)``
         numpy pairs for the shared-memory transport, or ``None`` when the
         batch doesn't vectorize (the caller partitions into lists and the
@@ -399,7 +432,10 @@ class ShardedSketch(BatchIngest):
             return None
         owners, probe = routed
         groups = _group_by_owner(owners, self.num_shards)
-        return list(zip(groups, _gather_items(probe, groups)))
+        gathered = _gather_items(probe, groups)
+        if positions is not None:
+            groups = [positions[group] for group in groups]
+        return list(zip(groups, gathered))
 
     # ------------------------------------------------------------------
     # ingestion (SlidingSketch + WindowedSketch surface)
@@ -512,22 +548,40 @@ class ShardedSketch(BatchIngest):
             return
         self._dispatch_now(items, method)
 
-    def _dispatch_now(self, items: Sequence, method: str) -> None:
-        """Partition one batch and apply it (inline or pipelined)."""
-        n = len(items)
-        if self.num_shards == 1:
-            getattr(self._shards[0], method)(items)
-            return
+    def _dispatch_now(
+        self,
+        items: Sequence,
+        method: str,
+        positions: Optional[np.ndarray] = None,
+        n: Optional[int] = None,
+    ) -> None:
+        """Partition one batch and apply it (inline or pipelined).
+
+        ``positions``/``n`` describe a positional run from the write
+        buffer: the items sit at ``positions`` of an ``n``-packet stream
+        slice whose other packets are window advances.  ``None`` (a
+        dense batch) means the items are the whole slice.
+        """
+        if n is None:
+            n = len(items)
         windowed = self.windowed
+        if self.num_shards == 1:
+            if positions is None:
+                getattr(self._shards[0], method)(items)
+            else:
+                _apply_shard_plan(
+                    self._shards[0], positions, items, n, windowed, method
+                )
+            return
         if self._stateful:
             partition = None
             if getattr(self._executor, "transport", None) == "shm":
                 # columnar lane: positions/items stay numpy arrays so the
                 # executor ships them through the shared-memory ring and
                 # the worker consumes zero-copy views
-                partition = self._partition_columns(items)
+                partition = self._partition_columns(items, positions)
             if partition is None:
-                partition = self._partition(items)
+                partition = self._partition(items, positions)
             if not self._resident:
                 # ship current parent state once; from here on only the
                 # per-shard plans cross the pipes
@@ -536,16 +590,16 @@ class ShardedSketch(BatchIngest):
             self._executor.submit(
                 _apply_shard_plan,
                 [
-                    (positions, owned, n, windowed, method)
-                    for positions, owned in partition
+                    (owned_at, owned, n, windowed, method)
+                    for owned_at, owned in partition
                 ],
             )
             self._shards_stale = True
             return
-        partition = self._partition(items)
+        partition = self._partition(items, positions)
         tasks = [
-            (shard, positions, owned, n, windowed, method)
-            for shard, (positions, owned) in zip(self._shards, partition)
+            (shard, owned_at, owned, n, windowed, method)
+            for shard, (owned_at, owned) in zip(self._shards, partition)
         ]
         self._shards = self._executor.map(_apply_shard_plan, tasks)
 
@@ -553,9 +607,14 @@ class ShardedSketch(BatchIngest):
     # pipelined front-end plumbing
     # ------------------------------------------------------------------
     def _buffer_write(self, method: str, items: Sequence) -> None:
-        """Coalesce a write into the buffer; spill once it fills up."""
+        """Append a write to the buffer's open run; spill once it fills up."""
         if self._buffer.add_items(method, items):
             self._spill_buffer()
+
+    def _dispatch_run(self, run: Run, method: str) -> None:
+        """Apply one positional run of the write buffer."""
+        items, positions, n = run
+        self._dispatch_now(items, method, positions, n)
 
     def _spill_buffer(self) -> None:
         """Hand every buffered op to the background dispatcher."""
@@ -565,7 +624,7 @@ class ShardedSketch(BatchIngest):
         dispatcher = self._dispatcher
         if dispatcher is None:
             dispatcher = self._dispatcher = PipelinedDispatcher(
-                self._dispatch_now,
+                self._dispatch_run,
                 self._gap_now,
                 depth=self._pipeline_config.depth,
             )
@@ -578,8 +637,8 @@ class ShardedSketch(BatchIngest):
         Pushes buffered writes into the dispatch queue and blocks until
         the background thread has applied every in-flight op, raising if
         any dispatch failed since the last :meth:`close`.  Every query
-        path routes through here (via ``_sync_shards``), so pipelined
-        results are indistinguishable from synchronous ingestion.
+        path routes through here, so pipelined results are
+        indistinguishable from synchronous ingestion.
         Idempotent: a drained pipeline flushes as a no-op.
         """
         if self._buffer is None:
@@ -594,56 +653,48 @@ class ShardedSketch(BatchIngest):
         return self._buffer is not None
 
     def _sync_shards(self) -> None:
-        """Drain the pipeline, then pull resident state back when stale."""
+        """Drain the pipeline, then pull resident state back when stale.
+
+        Whole-sketch reads need every shard's state in the parent; point
+        reads skip this pull (see :meth:`_estimate`).
+        """
         self.flush()
         if self._shards_stale:
-            self._shards = self._executor.collect()
+            self._shards = self._executor.call(_shard_state)
             self._shards_stale = False
 
     # ------------------------------------------------------------------
     # queries (merge-on-query)
     # ------------------------------------------------------------------
-    def query(self, key: Hashable) -> float:
-        """Window/interval frequency estimate for ``key``.
+    def _estimate(self, key: Hashable, names: Tuple[str, ...]) -> float:
+        """One point read: the owner's answer (route) or the shard sum.
 
         Route mode asks the owning shard (``key_fn`` applies, exactly as
-        it did at ingestion); sum mode adds the per-shard estimates.
+        it did at ingestion); sum mode adds the per-shard estimates in
+        shard order.  While resident workers hold newer state than the
+        parent, the question goes to them (one ``call``, answered in
+        place) instead of pulling every shard back.
         """
-        self._sync_shards()
-        if self.query_mode == "route":
-            return self._shards[self.shard_of(key)].query(key)
-        return sum(shard.query(key) for shard in self._shards)
+        self.flush()
+        owner = self.shard_of(key) if self.query_mode == "route" else None
+        if self._shards_stale:
+            answers = self._executor.call(_shard_estimate, key, names, worker=owner)
+        else:
+            shards = self._shards if owner is None else [self._shards[owner]]
+            answers = [_shard_estimate(shard, key, names) for shard in shards]
+        return sum(answers) if owner is None else answers[0]
 
-    @staticmethod
-    def _query_method(shard, *names):
-        """First of ``names`` the shard implements, else plain ``query``."""
-        for name in names:
-            fn = getattr(shard, name, None)
-            if fn is not None:
-                return fn
-        return shard.query
+    def query(self, key: Hashable) -> float:
+        """Window/interval frequency estimate for ``key``."""
+        return self._estimate(key, ())
 
     def query_lower(self, key: Hashable) -> float:
         """Guaranteed (lower-bound) part of the estimate."""
-        self._sync_shards()
-        if self.query_mode == "route":
-            shard = self._shards[self.shard_of(key)]
-            return self._query_method(shard, "query_lower", "lower_bound")(key)
-        return sum(
-            self._query_method(shard, "query_lower", "lower_bound")(key)
-            for shard in self._shards
-        )
+        return self._estimate(key, ("query_lower", "lower_bound"))
 
     def query_point(self, key: Hashable) -> float:
         """Midpoint (bias-removed) estimate, for error metrics/detection."""
-        self._sync_shards()
-        if self.query_mode == "route":
-            shard = self._shards[self.shard_of(key)]
-            return self._query_method(shard, "query_point")(key)
-        return sum(
-            self._query_method(shard, "query_point")(key)
-            for shard in self._shards
-        )
+        return self._estimate(key, ("query_point",))
 
     def candidates(self) -> Iterable[Hashable]:
         """Keys any shard currently tracks (disjoint under ``route``)."""

@@ -85,7 +85,7 @@ __all__ = [
 #: second engine's) holds that lock inherits it locked forever, and the
 #: child then deadlocks on its first tracker call — its attach-time
 #: ``SharedMemory`` registration — before ever reading its pipe, which
-#: in turn wedges the parent's next ``collect()``.  Every parent-side
+#: in turn wedges the parent's next ``call()``.  Every parent-side
 #: tracker touchpoint in this package (ring create/unlink) and every
 #: ``Process.start()`` in the persistent executor takes this lock, so a
 #: fork can never observe the tracker lock mid-critical-section (the

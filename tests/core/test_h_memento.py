@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from repro import (
     HMemento,
     ip_to_int,
 )
+from repro.core.batching import BatchIngest
+from repro.core.kernel import plan_from_positions
 
 
 def feed_mixture(sketch, truth, n, rng, heavy_share=0.3):
@@ -192,3 +196,44 @@ class TestTwoDimensions:
                 sketch.update((int(rng.integers(0, 2**32)), int(rng.integers(0, 2**32))))
         out = sketch.output(theta=0.25, conservative=False)
         assert any(SRC_DST_HIERARCHY.generalizes(p, (src, 32, dst, 32)) or p == (src, 32, dst, 32) for p in out)
+
+
+class TestFusedPlan:
+    """``ingest_plan(plan, sampled=True)`` against the segment replay."""
+
+    @staticmethod
+    def make():
+        return HMemento(
+            window=3000, hierarchy=SRC_HIERARCHY, counters=160, tau=0.5, seed=11
+        )
+
+    @staticmethod
+    def plans(rng):
+        def plan(positions, n):
+            items = rng.integers(0, 2**32, size=len(positions)).tolist()
+            return plan_from_positions(items, np.asarray(positions, dtype=np.int64), n)
+
+        yield plan([3, 4, 9], 10)  # leading, interior and no trailing gap
+        yield plan([0, 1, 5], 12)  # interior and trailing gap
+        yield plan([7], 8)  # a single sample after a leading gap
+        yield plan([], 40)  # a plan of nothing but window advance
+        yield plan(list(range(16)), 16)  # dense
+        for _ in range(60):
+            n = int(rng.integers(1, 4000))
+            k = int(rng.integers(0, min(n, 500) + 1))
+            yield plan(np.sort(rng.choice(n, size=k, replace=False)), n)
+
+    def test_matches_segment_replay(self):
+        fused, replayed = self.make(), self.make()
+        for plan in self.plans(np.random.default_rng(5)):
+            fused.ingest_plan(plan, sampled=True)
+            BatchIngest.ingest_plan(replayed, plan, sampled=True)
+        assert fused.updates == replayed.updates
+        assert pickle.dumps(fused) == pickle.dumps(replayed)
+
+    def test_unsampled_plan_keeps_generic_replay(self):
+        fused, replayed = self.make(), self.make()
+        for plan in self.plans(np.random.default_rng(6)):
+            fused.ingest_plan(plan)
+            BatchIngest.ingest_plan(replayed, plan)
+        assert pickle.dumps(fused) == pickle.dumps(replayed)

@@ -93,9 +93,10 @@ class TestMakeExecutor:
                 for shard in self._shards:
                     fn(shard, *args)
 
-            def collect(self):
-                self.calls.append("collect")
-                return list(self._shards)
+            def call(self, fn, *args, worker=None):
+                self.calls.append("call")
+                shards = self._shards if worker is None else [self._shards[worker]]
+                return [fn(shard, *args) for shard in shards]
 
             def map(self, fn, tasks):  # must never be picked
                 self.calls.append("map")
@@ -109,7 +110,9 @@ class TestMakeExecutor:
         with ShardedSketch(exact_factory, shards=2, executor=executor) as sharded:
             sharded.update_many(make_stream(n=300))
             sharded.query(0)
+            assert sharded.entries()
         assert "seed" in executor.calls and "submit" in executor.calls
+        assert "call" in executor.calls
         assert "map" not in executor.calls
 
     def test_stateful_without_broadcast_is_rejected(self):
@@ -125,7 +128,7 @@ class TestMakeExecutor:
             def submit(self, fn, tasks):  # pragma: no cover - never called
                 pass
 
-            def collect(self):  # pragma: no cover - never called
+            def call(self, fn, *args, worker=None):  # pragma: no cover - never called
                 return []
 
             def close(self):
@@ -240,7 +243,7 @@ class TestPersistentExecutor:
                 chunk = stream[start : start + 300]
                 sharded.update_many(chunk)
                 reference.update_many(chunk)
-                # query-after-batch forces a collect; the next batch
+                # query-after-batch asks the workers; the next batch
                 # must keep feeding the still-resident workers
                 assert sharded.query(chunk[0]) == reference.query(chunk[0])
 

@@ -73,22 +73,88 @@ class TestConfig:
         sharded.close()
 
 
+def runs(ops):
+    """Buffered ops with positions as plain lists (comparable with ==)."""
+    out = []
+    for method, payload in ops:
+        if method == GAP:
+            out.append((method, payload))
+        else:
+            items, positions, n = payload
+            at = None if positions is None else positions.tolist()
+            out.append((method, (items, at, n)))
+    return out
+
+
 class TestWriteBuffer:
     def test_coalesces_same_kind_runs(self):
+        # gaps between same-method writes widen positions inside one run
         buffer = WriteBuffer(capacity=100)
-        assert not buffer.add_items("update_many", (1,))
-        assert not buffer.add_items("update_many", (2, 3))
+        assert not buffer.add_items("ingest_samples", (1,))
+        assert not buffer.add_items("ingest_samples", (2, 3))
         assert not buffer.add_gap(5)
         assert not buffer.add_gap(2)
         assert not buffer.add_items("ingest_samples", (4,))
-        ops = buffer.drain()
-        assert ops == [
-            ("update_many", [1, 2, 3]),
-            (GAP, 7),
-            ("ingest_samples", [4]),
+        assert buffer.pending == 5  # four items plus one gap mark
+        assert runs(buffer.drain()) == [
+            ("ingest_samples", ([1, 2, 3, 4], [0, 1, 2, 10], 11)),
         ]
         assert buffer.pending == 0
         assert buffer.drain() == []
+
+    def test_dense_run_has_no_positions(self):
+        buffer = WriteBuffer(capacity=100)
+        buffer.add_items("update_many", (1,))
+        buffer.add_items("update_many", [2, 3])
+        ops = buffer.drain()
+        assert ops == [("update_many", ([1, 2, 3], None, 3))]
+
+    def test_gap_only_run(self):
+        buffer = WriteBuffer(capacity=100)
+        buffer.add_gap(5)
+        buffer.add_gap(2)
+        assert buffer.pending == 1
+        assert buffer.drain() == [(GAP, 7)]
+
+    def test_leading_gap(self):
+        buffer = WriteBuffer(capacity=100)
+        buffer.add_gap(3)
+        buffer.add_items("ingest_samples", (7, 8))
+        buffer.add_gap(1)
+        buffer.add_items("ingest_samples", (9,))
+        assert runs(buffer.drain()) == [
+            ("ingest_samples", ([7, 8, 9], [3, 4, 6], 7)),
+        ]
+
+    def test_trailing_gap(self):
+        buffer = WriteBuffer(capacity=100)
+        buffer.add_items("ingest_samples", (7, 8))
+        buffer.add_gap(4)
+        assert runs(buffer.drain()) == [
+            ("ingest_samples", ([7, 8], [0, 1], 6)),
+        ]
+
+    def test_method_switch_closes_the_run(self):
+        # a trailing gap stays with the run it follows; a gap before the
+        # first write of a new method leads the next run
+        buffer = WriteBuffer(capacity=100)
+        buffer.add_items("update_many", (1, 2))
+        buffer.add_gap(3)
+        buffer.add_items("ingest_samples", (4,))
+        buffer.add_items("update_many", (5,))
+        buffer.add_gap(2)
+        buffer.add_items("update_many", (6,))
+        assert runs(buffer.drain()) == [
+            ("update_many", ([1, 2], [0, 1], 5)),
+            ("ingest_samples", ([4], None, 1)),
+            ("update_many", ([5, 6], [0, 3], 4)),
+        ]
+
+    def test_gap_counts_toward_capacity(self):
+        buffer = WriteBuffer(capacity=3)
+        assert not buffer.add_items("ingest_samples", (1,))
+        assert not buffer.add_gap(9)
+        assert buffer.add_items("ingest_samples", (2,))
 
     def test_signals_flush_at_capacity(self):
         buffer = WriteBuffer(capacity=3)
