@@ -3,8 +3,8 @@
 Extends the ``repro-bench/1`` perf trail started by
 ``bench_micro_updates.py`` to the sharding layer:
 
-* ``python benchmarks/bench_sharded_ingest.py`` — times the PR-1 batch
-  path (the reference), a 1-shard ``ShardedSketch`` (which must not
+* ``python benchmarks/bench_sharded_ingest.py`` — times the bare
+  engine's ``update_many`` batch path (the reference), a 1-shard ``ShardedSketch`` (which must not
   regress it — the delegation fast path is gated at
   ``MIN_SINGLE_SHARD_RATIO``), and multi-shard runs (2/4/8 shards,
   serial executor).  Results persist to ``BENCH_sharded_ingest.json`` at
@@ -14,20 +14,15 @@ Extends the ``repro-bench/1`` perf trail started by
   entries for interactive comparison.
 
 Multi-shard serial wall-clock *adds* routing overhead by construction
-(every packet is hashed, every shard bookkeeps its gaps); the scaling
-story is the **critical path**: the slowest single shard's share of the
-work, which is what an actually-parallel deployment pays per batch.  The
-bench measures per-shard apply times through an instrumented executor
-and reports ``critical_path_speedup = Σ shard_time / max shard_time``
-per shard count in the extra metadata.
+(every packet is hashed, every shard bookkeeps its gaps); the rows are
+reported ungated, for context.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -40,8 +35,7 @@ except ModuleNotFoundError:  # uninstalled checkout: fall back to src/
 
 from repro import ShardedSketch, generate_trace
 from repro.bench import BenchResult, bench, repo_root, write_results
-from repro.engine import SketchSpec, algorithm_info, build_engine
-from repro.sharding.executors import SerialExecutor
+from repro.engine import SketchSpec, build_engine
 from repro.traffic.synth import BACKBONE
 
 WINDOW = 8192
@@ -79,32 +73,6 @@ def case_spec(name: str, shards: Optional[int] = None) -> SketchSpec:
     return SketchSpec.from_dict(payload)
 
 
-def case_factory(name: str) -> Callable[[int], object]:
-    """A per-shard factory with the registry's seed derivation (for the
-    instrumented critical-path pass, which needs a custom executor)."""
-    spec = case_spec(name)
-    info = algorithm_info(spec.algorithm.family)
-    return lambda i: info.factory(spec.algorithm, None, i)
-
-
-class TimingSerialExecutor(SerialExecutor):
-    """Serial executor that records each shard task's wall time."""
-
-    def __init__(self) -> None:
-        self.task_seconds: List[float] = []
-
-    def map(self, fn, tasks):
-        results = []
-        timings = []
-        perf_counter = time.perf_counter
-        for task in tasks:
-            start = perf_counter()
-            results.append(fn(*task))
-            timings.append(perf_counter() - start)
-        self.task_seconds = timings
-        return results
-
-
 def make_stream(n: int = N) -> list:
     return generate_trace(BACKBONE, n, seed=99).packets_1d()
 
@@ -116,34 +84,17 @@ def drive_batch(algorithm, stream, chunk: int = CHUNK):
     return algorithm
 
 
-def critical_path_seconds(factory, shards: int, stream) -> Tuple[float, float]:
-    """(total shard apply time, slowest shard apply time) for one pass."""
-    executor = TimingSerialExecutor()
-    with ShardedSketch(factory, shards=shards, executor=executor) as sharded:
-        per_shard = [0.0] * shards
-        for start in range(0, len(stream), CHUNK):
-            sharded.update_many(stream[start : start + CHUNK])
-            for idx, seconds in enumerate(executor.task_seconds):
-                per_shard[idx] += seconds
-    if shards == 1:
-        # the 1-shard fast path bypasses the executor entirely
-        return (0.0, 0.0)
-    return (sum(per_shard), max(per_shard))
-
-
 def run_harness(
     n: int = N, warmup: int = 1, repeats: int = 3
-) -> Tuple[List[BenchResult], Dict[str, float], Dict[str, float]]:
+) -> Tuple[List[BenchResult], Dict[str, float]]:
     """Time raw-batch vs sharded ingestion for every case.
 
-    Returns the results, the per-case single-shard ratios (sharded-1
-    ops/sec over raw batch ops/sec), and the per-(case, shards)
-    critical-path speedups.
+    Returns the results and the per-case single-shard ratios (sharded-1
+    ops/sec over raw batch ops/sec).
     """
     stream = make_stream(n)
     results: List[BenchResult] = []
     ratios: Dict[str, float] = {}
-    scaling: Dict[str, float] = {}
     for name, _ in CASES:
         bare_spec = case_spec(name)
         raw = bench(
@@ -161,7 +112,6 @@ def run_harness(
             },
         )
         results.append(raw)
-        factory = case_factory(name)
         for shards in SHARD_COUNTS:
             spec = case_spec(name, shards=shards)
             sharded = bench(
@@ -185,12 +135,7 @@ def run_harness(
             results.append(sharded)
             if shards == 1:
                 ratios[name] = sharded.ops_per_sec / raw.ops_per_sec
-            else:
-                total, slowest = critical_path_seconds(factory, shards, stream)
-                scaling[f"{name}/shards{shards}"] = (
-                    total / slowest if slowest > 0 else float("inf")
-                )
-    return results, ratios, scaling
+    return results, ratios
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -209,7 +154,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     n = 4_000 if args.smoke else N
     # best-of-5 keeps the gate stable against scheduler noise
     repeats = 1 if args.smoke else 5
-    results, ratios, scaling = run_harness(
+    results, ratios = run_harness(
         n=n, warmup=0 if args.smoke else 1, repeats=repeats
     )
 
@@ -225,7 +170,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "shard_counts": list(SHARD_COUNTS),
             },
             "single_shard_ratio": ratios,
-            "critical_path_speedup": scaling,
             "smoke": args.smoke,
         },
     )
@@ -234,17 +178,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     width = max(len(name) for name, _ in CASES)
     print(
         f"{'case'.ljust(width)}  {'batch ops/s':>14}  "
-        f"{'sharded1 ops/s':>14}  ratio  critical-path speedup (2/4/8)"
+        f"{'sharded1 ops/s':>14}  ratio  sharded ops/s (2/4/8)"
     )
     for name, _ in CASES:
         raw = by_name[f"{name}/batch"]
         one = by_name[f"{name}/sharded1"]
-        speedups = "/".join(
-            f"{scaling[f'{name}/shards{s}']:.2f}" for s in SHARD_COUNTS[1:]
+        multi = "/".join(
+            f"{by_name[f'{name}/sharded{s}'].ops_per_sec:,.0f}"
+            for s in SHARD_COUNTS[1:]
         )
         print(
             f"{name.ljust(width)}  {raw.ops_per_sec:>14,.0f}  "
-            f"{one.ops_per_sec:>14,.0f}  {ratios[name]:>5.2f}  {speedups}"
+            f"{one.ops_per_sec:>14,.0f}  {ratios[name]:>5.2f}  {multi}"
         )
     print(f"results -> {out}")
 

@@ -1,30 +1,25 @@
-"""Vectorized-ingest benchmark: the columnar kernel vs the PR-1 batch path.
+"""Vectorized-ingest benchmark: the columnar kernel vs the scalar path.
 
 Extends the ``repro-bench/1`` perf trail (``bench_micro_updates.py``,
 ``bench_sharded_ingest.py``) to the columnar ingestion kernel and the
 persistent shard workers:
 
-* ``python benchmarks/bench_vectorized_ingest.py`` — times three
-  generations of every update path per sketch: **scalar** (one
-  ``update`` per packet), **batch** (the PR-1 block path, preserved as
-  ``update_many_blocked`` where the kernel replaced it), and
-  **vectorized** (the decision-column → ingest-plan pipeline behind
-  ``update_many`` / ``ingest_plan``).  Results persist to
-  ``BENCH_vectorized_ingest.json`` at the repo root.  The full run
+* ``python benchmarks/bench_vectorized_ingest.py`` — times two update
+  paths per sketch: **scalar** (one ``update`` per packet, the
+  reference) and **vectorized** (the decision-column → ingest-plan
+  pipeline behind ``update_many`` / ``ingest_plan``).  Results persist
+  to ``BENCH_vectorized_ingest.json`` at the repo root.  The full run
   gates the kernel's contract on ``memento_tau0.1``: vectorized must
-  reach ≥ ``MIN_VEC_VS_BATCH``× the batch path and
-  ≥ ``MIN_VEC_VS_SCALAR``× the scalar path.
-* the same run times sharded ingestion through the round-trip
-  ``ProcessExecutor`` against the ``PersistentProcessExecutor`` at
-  1/2/4/8 shards (1 shard is the executor-bypassing delegation path,
-  reported for context).  Timed passes end with a query, which the
-  persistent workers answer only after applying every batch, so the
-  persistent numbers pay for all of their in-flight work.
-  The full run gates that persistent beats the round-trip on the
-  4-shard critical path.
-* ``--smoke`` shrinks the workload for CI and relaxes the memento gate
-  to a plain no-regression bound (≥ ``SMOKE_MIN_VEC_VS_BATCH``×);
-  executor scaling runs at 2 shards only and is ungated.
+  reach ≥ ``MIN_VEC_VS_SCALAR``× the scalar path.
+* the same run times sharded ingestion through the
+  ``PersistentProcessExecutor`` at 1/2/4/8 shards (1 shard is the
+  executor-bypassing delegation path, reported for context), ungated.
+  Timed passes end with a query, which the persistent workers answer
+  only after applying every batch, so the numbers pay for all of their
+  in-flight work.
+* ``--smoke`` shrinks the workload for CI and gates the memento case at
+  ≥ ``SMOKE_MIN_VEC_VS_SCALAR``× the scalar path; executor scaling runs
+  at 2 shards only.
 
 ``memento_tau0.1`` uses a window geometry with paper-scale blocks
 (``W/k = 256``) — tiny blocks make the boundary bookkeeping, not the
@@ -72,18 +67,18 @@ COUNTERS = 64
 N = 40_000
 CHUNK = 4096
 
-#: executor-case geometry: heavier per-shard state so the round-trip's
-#: pickling cost is representative
+#: executor-case geometry: paper-scale per-shard state
 EXEC_WINDOW = 131_072
 EXEC_COUNTERS = 512
 EXEC_N = 20_000
 SHARD_COUNTS = (1, 2, 4, 8)
 
-#: full-run gates on ``memento_tau0.1``
-MIN_VEC_VS_BATCH = 1.5
-MIN_VEC_VS_SCALAR = 3.0
-#: smoke-mode no-regression gate (CI noise tolerance is the repeats)
-SMOKE_MIN_VEC_VS_BATCH = 1.0
+#: full-run gate on ``memento_tau0.1``: the former 1.5× over the
+#: retired block path times that path's recorded 3.2× over scalar
+MIN_VEC_VS_SCALAR = 4.8
+#: smoke-mode gate: the former 1.0× no-regression bound over the block
+#: path, times the same 3.2×
+SMOKE_MIN_VEC_VS_SCALAR = 3.2
 
 GATED_CASE = "memento_tau0.1"
 
@@ -105,16 +100,6 @@ def drive_scalar(algorithm, stream):
     update = algorithm.update
     for item in stream:
         update(item)
-    return algorithm
-
-
-def drive_batch(algorithm, stream, chunk: int = CHUNK):
-    """The PR-1 block path (``update_many_blocked`` where preserved)."""
-    fn = getattr(algorithm, "update_many_blocked", None)
-    if fn is None:
-        fn = algorithm.update_many
-    for start in range(0, len(stream), chunk):
-        fn(stream[start : start + chunk])
     return algorithm
 
 
@@ -292,7 +277,7 @@ def run_harness(
     """Time every (case, path) pair plus the executor scaling matrix.
 
     Returns the results, per-case speedup ratios, and the per-shard-count
-    executor comparison (ops/sec and the persistent/round-trip ratio).
+    persistent-executor ops/sec.
     """
     stream = make_stream(n)
     streams = {"plain": stream, "grouped": grouped_stream(stream)}
@@ -303,10 +288,9 @@ def run_harness(
         case_stream = streams[variant]
         paths = (
             ("scalar", drive_scalar),
-            ("batch", drive_batch),
             ("vectorized", vec_driver),
         )
-        # the three paths are timed in interleaved rounds (one pass per
+        # the paths are timed in interleaved rounds (one pass per
         # path per round, best-of over rounds) so slow drift — thermal,
         # scheduler, allocator — biases a *ratio* gate as little as
         # possible; sequential per-path blocks would hand whichever path
@@ -343,40 +327,34 @@ def run_harness(
             results.append(result)
             timed[path] = result.ops_per_sec
         speedups[name] = {
-            "batch_vs_scalar": timed["batch"] / timed["scalar"],
             "vectorized_vs_scalar": timed["vectorized"] / timed["scalar"],
-            "vectorized_vs_batch": timed["vectorized"] / timed["batch"],
         }
 
     exec_stream = make_stream(exec_n)
     executor_scaling: Dict[str, Dict[str, float]] = {}
+    executor = "persistent"
     for shards in shard_counts:
-        row: Dict[str, float] = {}
-        for executor in ("process", "persistent"):
-            seconds = time_executor(executor, shards, exec_stream, repeats)
-            ops_per_sec = exec_n / seconds
-            row[executor] = ops_per_sec
-            spec = exec_spec(executor, shards)
-            results.append(
-                BenchResult(
-                    name=f"executor_{executor}/shards{shards}",
-                    ops=exec_n,
-                    seconds=seconds,
-                    mean_seconds=seconds,
-                    repeats=repeats,
-                    metadata={
-                        "path": "sharded",
-                        "executor": executor,
-                        "shards": shards,
-                        "chunk": CHUNK,
-                        "case": "memento_tau0.1_exec",
-                        "spec": spec.to_dict(),
-                        "transport": spec.sharding.resolved_transport,
-                    },
-                )
+        seconds = time_executor(executor, shards, exec_stream, repeats)
+        spec = exec_spec(executor, shards)
+        results.append(
+            BenchResult(
+                name=f"executor_{executor}/shards{shards}",
+                ops=exec_n,
+                seconds=seconds,
+                mean_seconds=seconds,
+                repeats=repeats,
+                metadata={
+                    "path": "sharded",
+                    "executor": executor,
+                    "shards": shards,
+                    "chunk": CHUNK,
+                    "case": "memento_tau0.1_exec",
+                    "spec": spec.to_dict(),
+                    "transport": spec.sharding.resolved_transport,
+                },
             )
-        row["persistent_vs_process"] = row["persistent"] / row["process"]
-        executor_scaling[f"shards{shards}"] = row
+        )
+        executor_scaling[f"shards{shards}"] = {executor: exec_n / seconds}
     return results, speedups, executor_scaling
 
 
@@ -430,52 +408,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     width = max(len(name) for name, _, _, _ in CASES)
     by_name = {r.name: r for r in results}
     print(
-        f"{'case'.ljust(width)}  {'scalar ops/s':>13}  {'batch ops/s':>13}  "
-        f"{'vector ops/s':>13}  v/batch  v/scalar"
+        f"{'case'.ljust(width)}  {'scalar ops/s':>13}  {'vector ops/s':>13}  "
+        f"v/scalar"
     )
     for name, _, _, _ in CASES:
-        ratios = speedups[name]
         print(
             f"{name.ljust(width)}  "
             f"{by_name[f'{name}/scalar'].ops_per_sec:>13,.0f}  "
-            f"{by_name[f'{name}/batch'].ops_per_sec:>13,.0f}  "
             f"{by_name[f'{name}/vectorized'].ops_per_sec:>13,.0f}  "
-            f"{ratios['vectorized_vs_batch']:>6.2f}x  "
-            f"{ratios['vectorized_vs_scalar']:>6.2f}x"
+            f"{speedups[name]['vectorized_vs_scalar']:>6.2f}x"
         )
     print()
-    print("shards  round-trip ops/s  persistent ops/s  persistent/round-trip")
+    print("shards  persistent ops/s")
     for shards in shard_counts:
         row = executor_scaling[f"shards{shards}"]
-        print(
-            f"{shards:>6}  {row['process']:>16,.0f}  {row['persistent']:>16,.0f}  "
-            f"{row['persistent_vs_process']:>21.2f}x"
-        )
+        print(f"{shards:>6}  {row['persistent']:>16,.0f}")
     print(f"results -> {out}")
 
-    failures: List[str] = []
-    gate = SMOKE_MIN_VEC_VS_BATCH if args.smoke else MIN_VEC_VS_BATCH
-    ratio = speedups[GATED_CASE]["vectorized_vs_batch"]
+    gate = SMOKE_MIN_VEC_VS_SCALAR if args.smoke else MIN_VEC_VS_SCALAR
+    ratio = speedups[GATED_CASE]["vectorized_vs_scalar"]
     if ratio < gate:
-        failures.append(
-            f"vectorized path {ratio:.2f}x < {gate}x batch on {GATED_CASE}"
+        print(
+            f"FAIL: vectorized path {ratio:.2f}x < {gate}x scalar on "
+            f"{GATED_CASE}",
+            file=sys.stderr,
         )
-    if not args.smoke:
-        scalar_ratio = speedups[GATED_CASE]["vectorized_vs_scalar"]
-        if scalar_ratio < MIN_VEC_VS_SCALAR:
-            failures.append(
-                f"vectorized path {scalar_ratio:.2f}x < {MIN_VEC_VS_SCALAR}x "
-                f"scalar on {GATED_CASE}"
-            )
-        four = executor_scaling.get("shards4")
-        if four and four["persistent_vs_process"] < 1.0:
-            failures.append(
-                f"persistent executor {four['persistent_vs_process']:.2f}x "
-                f"round-trip on the 4-shard critical path (needs >= 1.0x)"
-            )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     return 0
 
@@ -488,13 +445,9 @@ def stream():
     return make_stream()
 
 
-@pytest.mark.parametrize("path", ["scalar", "batch", "vectorized"])
+@pytest.mark.parametrize("path", ["scalar", "vectorized"])
 def test_memento_tau01_paths(benchmark, stream, path):
-    driver = {
-        "scalar": drive_scalar,
-        "batch": drive_batch,
-        "vectorized": drive_vectorized,
-    }[path]
+    driver = {"scalar": drive_scalar, "vectorized": drive_vectorized}[path]
     result = benchmark(
         lambda: driver(
             Memento(window=WINDOW, counters=COUNTERS, tau=0.1, seed=1), stream
@@ -503,10 +456,9 @@ def test_memento_tau01_paths(benchmark, stream, path):
     assert result.updates == N
 
 
-@pytest.mark.parametrize("executor", ["process", "persistent"])
-def test_executor_four_shards(benchmark, stream, executor):
+def test_executor_four_shards(benchmark, stream):
     def run():
-        sharded = ShardedSketch(exec_factory, shards=4, executor=executor)
+        sharded = ShardedSketch(exec_factory, shards=4, executor="persistent")
         try:
             for start in range(0, len(stream), CHUNK):
                 sharded.update_many(stream[start : start + CHUNK])

@@ -141,11 +141,7 @@ from .service import (
 from .sharding import (
     PersistentProcessExecutor,
     PipelineConfig,
-    ProcessExecutor,
-    SerialExecutor,
     ShardedSketch,
-    ThreadExecutor,
-    make_executor,
     shard_index,
 )
 from .traffic.flood import FloodSpec, FloodTrace, inject_flood
@@ -206,11 +202,7 @@ __all__ = [
     # sharding
     "ShardedSketch",
     "shard_index",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "PersistentProcessExecutor",
-    "make_executor",
     "PipelineConfig",
     "VolumetricMemento",
     "VolumetricSpaceSaving",

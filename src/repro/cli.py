@@ -63,31 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="skip the Monte-Carlo verification columns",
             )
-        if name == "fig9":
-            p.add_argument(
-                "--shards",
-                type=int,
-                default=1,
-                help="controller ingestion shards (hash-partitioned "
-                "sliding-window sketches with merge-on-query; 1 = the "
-                "single-sketch path)",
-            )
-            p.add_argument(
-                "--executor",
-                choices=("serial", "thread", "process", "persistent"),
-                default="serial",
-                help="shard execution strategy; 'persistent' keeps shard "
-                "state resident in long-lived workers (no per-batch "
-                "state round-trip)",
-            )
-            p.add_argument(
-                "--pipeline",
-                action="store_true",
-                help="enable the pipelined ingestion front-end on the "
-                "sharded controller: report-scale writes coalesce in a "
-                "bounded buffer and a background thread overlaps "
-                "partitioning with the shard workers' applies",
-            )
         if name in ("fig9", "fig10"):
             p.add_argument(
                 "--spec",
@@ -95,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="JSON SketchSpec declaring the controller's "
                 "execution strategy (sharding/executor/pipeline "
-                "sections); overrides --shards/--executor/--pipeline. "
-                "See specs/*.json for checked-in examples",
+                "sections). See specs/*.json for checked-in examples",
             )
         if name == "fig10":
             p.add_argument(
@@ -115,13 +89,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.figure == "fig4":
         rows = module.worked_example() if args.worked else module.run()
     elif args.figure == "fig9":
-        rows = module.run(
-            seed=args.seed,
-            shards=args.shards,
-            executor=args.executor,
-            pipeline=args.pipeline,
-            spec=args.spec,
-        )
+        rows = module.run(seed=args.seed, spec=args.spec)
     elif args.figure == "fig1b":
         rows = module.run(simulate=not args.no_simulate, seed=args.seed)
     elif args.figure == "fig10" and args.timeline:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import compress
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
@@ -38,7 +37,7 @@ from .api import Entry, WindowedEntries
 from .batching import BatchIngest, as_batch
 from .kernel import IngestPlan, plan_from_positions
 from .memento import Memento
-from .sampling import draw_decision_array, draw_decisions, make_sampler
+from .sampling import draw_decision_array, make_sampler
 
 __all__ = ["HMemento"]
 
@@ -197,37 +196,6 @@ class HMemento(BatchIngest):
         self._memento.ingest_plan(
             plan_from_positions(prefixes, positions, n), sampled=True
         )
-
-    def update_many_blocked(self, packets: Sequence) -> None:
-        """The previous-generation (PR 1) batch path, kept as a reference.
-
-        Pre-draws a ``list[bool]`` decision block and walks it with
-        ``itertools.compress``, issuing one scalar ``full_update`` per
-        sampled packet.  Retained so the vectorized-ingest bench can
-        measure the columnar kernel against it and the differential
-        tests can pin all three generations to identical state.
-        """
-        packets = as_batch(packets)
-        n = len(packets)
-        if n == 0:
-            return
-        self._updates += n
-        decisions = draw_decisions(self._sampler, n)
-        memento = self._memento
-        ingest_gap = memento.ingest_gap
-        full_update = memento.full_update
-        next_pattern = self._next_pattern
-        prefix_at = self.hierarchy.prefix_at
-        prev = -1
-        for i in compress(range(n), decisions):
-            gap = i - prev - 1
-            if gap:
-                ingest_gap(gap)
-            full_update(prefix_at(packets[i], next_pattern()))
-            prev = i
-        tail = n - 1 - prev
-        if tail:
-            ingest_gap(tail)
 
     def ingest_sample(self, packet) -> None:
         """Feed an externally-sampled packet (network-wide controller path).

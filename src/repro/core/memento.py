@@ -58,7 +58,6 @@ from .sampling import (
     GeometricSampler,
     TableSampler,
     draw_decision_array,
-    draw_decisions,
     make_sampler,
 )
 from .space_saving import SpaceSaving, _Bucket
@@ -307,136 +306,6 @@ class Memento(BatchIngest):
             return
         decisions = draw_decision_array(sampler, n)
         self.ingest_plan(make_plan(items, decisions), sampled=True)
-
-    def update_many_blocked(self, items: Sequence[Hashable]) -> None:
-        """The previous-generation (PR 1) batch path, kept as a reference.
-
-        Pre-draws a ``list[bool]`` decision block and walks it with
-        ``itertools.compress`` — one Python bool per packet.  Retained so
-        the vectorized-ingest bench can measure the columnar kernel
-        against it and so the differential tests can pin all three
-        generations (scalar / blocked / vectorized) to identical state.
-        """
-        items = as_batch(items)
-        n = len(items)
-        if n == 0:
-            return
-        sampler = self._sampler
-        if (
-            self.tau >= 1.0
-            and isinstance(sampler, _ALWAYS_SAMPLE_AT_TAU1)
-            and sampler.tau >= 1.0
-        ):
-            self.full_update_many(items)
-            return
-        decisions = draw_decisions(sampler, n)
-        # The whole mixed stream runs on locals: gaps collapse into counter
-        # arithmetic (the ingest_gap trick), boundary rotations and drain
-        # pops are rare, and the sampled packets take an inlined Full
-        # update — no per-packet method calls anywhere.
-        y = self._y
-        y_add_query = y.add_query
-        y_flush = y.flush
-        offsets = self._offsets
-        offsets_get = offsets.get
-        queues = self._queues
-        quantum = self.sample_block
-        block_size = self.block_size
-        k = self.k
-        countdown = self._countdown
-        blocks = self._blocks_into_frame
-        newest = self._newest
-        drain = self._drain
-        updates = self._updates
-        full = 0
-        prev = -1
-        # compress() iterates the sampled positions at C speed; the gaps
-        # between them never touch Python per-packet
-        for i in compress(range(n), decisions):
-            gap = i - prev - 1
-            prev = i
-            while gap:
-                if drain:
-                    steps = countdown - 1
-                    if steps > gap:
-                        steps = gap
-                    if steps > len(drain):
-                        steps = len(drain)
-                    if steps:
-                        for _ in range(steps):
-                            old_id = drain.popleft()
-                            remaining = offsets[old_id] - 1
-                            if remaining:
-                                offsets[old_id] = remaining
-                            else:
-                                del offsets[old_id]
-                        countdown -= steps
-                        updates += steps
-                        gap -= steps
-                        continue
-                    # countdown == 1: fall through to the boundary step
-                elif gap < countdown:
-                    countdown -= gap
-                    updates += gap
-                    break
-                else:
-                    # free-run to just before the boundary, then step once
-                    updates += countdown - 1
-                    gap -= countdown - 1
-                    countdown = 1
-                # single window step across the block boundary
-                updates += 1
-                gap -= 1
-                blocks += 1
-                if blocks == k:
-                    blocks = 0
-                    y_flush()
-                queues.popleft()
-                newest = deque()
-                queues.append(newest)
-                drain = queues[0]
-                countdown = block_size
-                if drain:
-                    old_id = drain.popleft()
-                    remaining = offsets[old_id] - 1
-                    if remaining:
-                        offsets[old_id] = remaining
-                    else:
-                        del offsets[old_id]
-            # inlined Full update for the sampled packet
-            updates += 1
-            full += 1
-            countdown -= 1
-            if countdown == 0:
-                blocks += 1
-                if blocks == k:
-                    blocks = 0
-                    y_flush()
-                queues.popleft()
-                newest = deque()
-                queues.append(newest)
-                drain = queues[0]
-                countdown = block_size
-            if drain:
-                old_id = drain.popleft()
-                remaining = offsets[old_id] - 1
-                if remaining:
-                    offsets[old_id] = remaining
-                else:
-                    del offsets[old_id]
-            if y_add_query(item := items[i]) % quantum == 0:  # overflow
-                newest.append(item)
-                offsets[item] = offsets_get(item, 0) + 1
-        # trailing gap after the last sampled packet
-        self._countdown = countdown
-        self._blocks_into_frame = blocks
-        self._newest = newest
-        self._drain = drain
-        self._updates = updates
-        self._full_updates += full
-        tail = n - 1 - prev
-        if tail:
-            self.ingest_gap(tail)
 
     def ingest_sample(self, item: Hashable) -> None:
         """Feed an externally-sampled packet (network-wide controller path).

@@ -514,7 +514,7 @@ class SpaceSaving(BatchIngest):
         The default reducer would walk the ``next`` pointers recursively
         and overflow the interpreter stack on realistic counter budgets;
         flattening makes sketches cheap and safe to ship across process
-        boundaries (the round-trip and persistent shard executors).
+        boundaries (the persistent shard executor, checkpoints).
         """
         chain = []
         bucket = self._head

@@ -39,7 +39,6 @@ from .spec import (
     ShardingSpec,
     SketchSpec,
     hierarchy_spec_for,
-    pipeline_spec_for,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "algorithm_info",
     "build_engine",
     "hierarchy_spec_for",
-    "pipeline_spec_for",
     "register_algorithm",
     "registered_algorithms",
     "shard_seed",

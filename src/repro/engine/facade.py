@@ -47,6 +47,7 @@ from typing import (
 
 from ..core.api import Entry
 from ..hierarchy.domain import Hierarchy
+from ..sharding.executors import PersistentProcessExecutor
 from ..sharding.sharded import ShardedSketch
 from .registry import AlgorithmInfo, algorithm_info
 from .spec import SketchSpec
@@ -142,12 +143,10 @@ class HeavyHitterEngine:
         def factory(shard_id: int) -> object:
             return info.factory(spec.algorithm, hierarchy, shard_id)
 
-        executor: object = sharding.executor
+        executor: Union[str, PersistentProcessExecutor] = sharding.executor
         if sharding.transport is not None:
             # the spec layer guarantees executor == "persistent" here; a
             # ready executor object carries the transport choice down
-            from ..sharding.executors import PersistentProcessExecutor
-
             executor = PersistentProcessExecutor(transport=sharding.transport)
         sketch = ShardedSketch(
             factory,

@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Dict, Optional, Type, TypeVar, Union
 
 from ..hierarchy.domain import SRC_DST_HIERARCHY, SRC_HIERARCHY, Hierarchy
-from ..sharding.executors import _EXECUTORS, TRANSPORTS
+from ..sharding.executors import EXECUTORS, TRANSPORTS
 from ..sharding.pipeline import PipelineConfig
 from ..sharding.sharded import QUERY_MODES
 
@@ -58,7 +58,6 @@ __all__ = [
     "ShardingSpec",
     "SketchSpec",
     "hierarchy_spec_for",
-    "pipeline_spec_for",
 ]
 
 #: The named hierarchies a :class:`HierarchySpec` can resolve on its own.
@@ -66,12 +65,6 @@ NAMED_HIERARCHIES: Dict[str, Hierarchy] = {
     "src": SRC_HIERARCHY,
     "src_dst": SRC_DST_HIERARCHY,
 }
-
-#: Executor strategies a spec may name — derived from the executor
-#: registry so the two vocabularies cannot drift (ready executor
-#: *objects* are a programmatic-API affair and not serializable).
-EXECUTOR_NAMES = tuple(sorted(_EXECUTORS))
-
 
 _SectionT = TypeVar("_SectionT")
 
@@ -211,9 +204,11 @@ class ShardingSpec:
 
     def __post_init__(self) -> None:
         _check_positive("shards", self.shards, allow_none=False)
-        if self.executor not in EXECUTOR_NAMES:
+        # the sharding layer's own vocabulary, so the two cannot drift (a
+        # ready executor object is programmatic-API only, not serializable)
+        if self.executor not in EXECUTORS:
             raise ValueError(
-                f"executor must be one of {EXECUTOR_NAMES}, got "
+                f"executor must be one of {EXECUTORS}, got "
                 f"{self.executor!r}"
             )
         if self.query_mode is not None and self.query_mode not in QUERY_MODES:
@@ -264,29 +259,6 @@ class PipelineSpec:
     def to_config(self) -> PipelineConfig:
         """The runtime :class:`PipelineConfig` this spec describes."""
         return PipelineConfig(buffer_size=self.buffer_size, depth=self.depth)
-
-
-def pipeline_spec_for(pipeline: object) -> Optional[PipelineSpec]:
-    """Normalize a legacy ``pipeline=...`` knob into a spec section.
-
-    Accepts the values ``ShardedSketch(pipeline=...)`` historically took:
-    ``None``/``False`` (off), ``True`` (defaults), an ``int`` buffer
-    size, a :class:`PipelineConfig`, or a ready :class:`PipelineSpec`.
-    """
-    if pipeline is None or pipeline is False:
-        return None
-    if pipeline is True:
-        return PipelineSpec()
-    if isinstance(pipeline, PipelineSpec):
-        return pipeline
-    if isinstance(pipeline, PipelineConfig):
-        return PipelineSpec(buffer_size=pipeline.buffer_size, depth=pipeline.depth)
-    if isinstance(pipeline, int):
-        return PipelineSpec(buffer_size=pipeline)
-    raise TypeError(
-        f"pipeline must be None/False, True, a buffer size, a "
-        f"PipelineConfig, or a PipelineSpec, got {pipeline!r}"
-    )
 
 
 @dataclass(frozen=True)

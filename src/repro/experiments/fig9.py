@@ -19,53 +19,16 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..engine.spec import (
-    AlgorithmSpec,
-    HierarchySpec,
-    ShardingSpec,
-    SketchSpec,
-    pipeline_spec_for,
-)
+from ..engine.spec import SketchSpec
 from ..hierarchy.domain import SRC_HIERARCHY
 from ..netwide.simulation import NetwideConfig, run_error_experiment
 from ..traffic.synth import PROFILES, generate_trace
 from .common import format_rows, scaled
 
-__all__ = ["run", "format_table", "DEFAULT_TRACES", "controller_spec"]
+__all__ = ["run", "format_table", "DEFAULT_TRACES"]
 
 DEFAULT_TRACES = ("backbone", "datacenter", "edge")
 METHODS = ("aggregate", "sample", "batch")
-
-
-def controller_spec(
-    window: int,
-    counters: int,
-    seed: Optional[int],
-    shards: int = 1,
-    executor: str = "serial",
-    pipeline: object = False,
-) -> SketchSpec:
-    """The declarative controller spec equivalent to the legacy knobs.
-
-    The algorithm section is a template — :class:`NetwideSystem` resolves
-    family/tau/per-shard counters from the config and the budget model —
-    while sharding/pipeline sections pass through as given.  Sections are
-    synthesized only when ``shards > 1``, exactly mirroring the
-    :class:`NetwideConfig` legacy shim (a 1-shard deployment always built
-    the plain sketch, silently ignoring executor/pipeline); declare a
-    1-shard executor/pipeline deployment with an explicit spec.
-    """
-    sharded = shards > 1
-    return SketchSpec(
-        algorithm=AlgorithmSpec(
-            family="h_memento", window=window, counters=counters, seed=seed
-        ),
-        hierarchy=HierarchySpec("src"),
-        sharding=(
-            ShardingSpec(shards=shards, executor=executor) if sharded else None
-        ),
-        pipeline=pipeline_spec_for(pipeline) if sharded else None,
-    )
 
 
 def run(
@@ -78,9 +41,6 @@ def run(
     aggregate_entries: int = 256,
     stride: int = 50,
     seed: int = 2018,
-    shards: int = 1,
-    executor: str = "serial",
-    pipeline: object = False,
     spec: Union[SketchSpec, str, Path, None] = None,
 ) -> List[Dict[str, float]]:
     """One row per (trace, method) with the controller's RMSE.
@@ -90,20 +50,17 @@ def run(
     the method stays functional at reproduction scale — see EXPERIMENTS.md.
     ``spec`` (a :class:`repro.engine.SketchSpec` or a path to a JSON spec
     file) declares the Sample/Batch controllers' execution strategy —
-    sharding, executor, pipelining — in one serializable document; the
-    legacy ``shards``/``executor``/``pipeline`` knobs synthesize the
-    equivalent spec when no explicit one is given (``shards > 1`` runs
-    hash-partitioned D-H-Memento shards with the counter budget split and
-    merge-on-query combining).  Each non-aggregate result row records the
+    sharding, executor, pipelining — in one serializable document
+    (sharded controllers split the counter budget across shards and
+    combine on query); ``None`` runs the plain single-sketch
+    controller.  Each non-aggregate result row records the
     fully-resolved controller spec under ``"spec"``, so any row is
     reproducible from its spec alone.
     """
     window = window if window is not None else scaled(20_000)
     length = int(window * 3)
     hierarchy = SRC_HIERARCHY
-    if spec is None:
-        spec = controller_spec(window, counters, seed, shards, executor, pipeline)
-    elif isinstance(spec, (str, Path)):
+    if isinstance(spec, (str, Path)):
         spec = SketchSpec.from_file(spec)
     elif isinstance(spec, dict):
         spec = SketchSpec.from_dict(spec)

@@ -252,7 +252,7 @@ class RawMultiprocessingRule(Rule):
     ``multiprocessing.shared_memory.SharedMemory`` constructions outside
     ``repro/sharding/`` bypass the executor lifecycle, the resource-
     tracker discipline, and the session-wide leak guards; everything
-    else must go through ``make_executor``/``ShardedSketch``.
+    else must go through ``ShardedSketch``/``build_engine``.
     """
 
     code = "RL002"
@@ -330,7 +330,7 @@ class RawMultiprocessingRule(Rule):
                     module,
                     node,
                     f"raw {qual} construction outside repro/sharding/ — use "
-                    "make_executor()/ShardedSketch so lifecycle and leak "
+                    "ShardedSketch/build_engine so lifecycle and leak "
                     "guards apply",
                 )
 

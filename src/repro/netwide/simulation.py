@@ -15,7 +15,6 @@ pipeline under an HTTP flood and measures detection latency (see
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Hashable, Optional, Sequence
 
@@ -24,13 +23,7 @@ import numpy as np
 from ..analysis.metrics import RunningRMSE
 from ..core.exact import ExactWindowCounter
 from ..engine.facade import build_engine
-from ..engine.spec import (
-    AlgorithmSpec,
-    ShardingSpec,
-    SketchSpec,
-    hierarchy_spec_for,
-    pipeline_spec_for,
-)
+from ..engine.spec import AlgorithmSpec, SketchSpec, hierarchy_spec_for
 from ..hierarchy.domain import Hierarchy
 from .budget import BudgetModel
 from .controller import AggregationController, SketchController
@@ -55,10 +48,7 @@ class NetwideConfig:
     counters, tau, seed, and delta are **resolved** by
     :class:`NetwideSystem` from this config and the budget model (the
     transport sampling rate is a Theorem 5.5 output, not a spec input).
-    The legacy ``shards`` / ``shard_executor`` / ``shard_pipeline``
-    fields are deprecation shims that synthesize a spec; when ``spec``
-    is given they are back-filled *from* it so introspection stays
-    coherent.
+    ``spec=None`` synthesizes the plain, unsharded controller spec.
     """
 
     points: int = 10
@@ -75,16 +65,6 @@ class NetwideConfig:
     #: Entry cap for aggregation reports ("all the entries of its HH
     #: algorithm"); defaults to ``counters`` when None.
     aggregate_max_entries: Optional[int] = None
-    #: DEPRECATED (use ``spec``): controller-side ingestion shards
-    #: (1 = the single-sketch path).  ``counters`` is split across
-    #: shards so total state stays constant.
-    shards: int = 1
-    #: DEPRECATED (use ``spec``): executor for the sharded controller:
-    #: serial / thread / process / persistent.
-    shard_executor: str = "serial"
-    #: DEPRECATED (use ``spec``): pipelined ingestion front-end for the
-    #: sharded controller — ``False``, ``True``, or a buffer size.
-    shard_pipeline: object = False
     #: The controller's declarative execution spec (see class docstring).
     spec: Optional[SketchSpec] = None
 
@@ -95,55 +75,13 @@ class NetwideConfig:
             )
         if self.points <= 0:
             raise ValueError(f"points must be positive, got {self.points}")
-        if self.shards <= 0:
-            raise ValueError(f"shards must be positive, got {self.shards}")
-        legacy_given = (
-            self.shards > 1
-            or self.shard_executor != "serial"
-            or self.shard_pipeline not in (False, None)
-        )
-        if self.spec is not None:
-            if legacy_given:
-                raise ValueError(
-                    "pass either spec= or the legacy shards/shard_executor/"
-                    "shard_pipeline knobs, not both — mixing them would "
-                    "silently discard one side"
-                )
-            # the spec is authoritative; back-fill the legacy fields so
-            # code (and result rows) reading config.shards stay coherent
-            sharding = self.spec.sharding
-            object.__setattr__(
-                self, "shards", sharding.shards if sharding else 1
-            )
-            object.__setattr__(
-                self,
-                "shard_executor",
-                sharding.executor if sharding else "serial",
-            )
-            object.__setattr__(
-                self, "shard_pipeline", self.spec.pipeline is not None
-            )
-            return
-        if legacy_given:
-            warnings.warn(
-                "NetwideConfig(shards=/shard_executor=/shard_pipeline=) is "
-                "deprecated; pass spec=SketchSpec(..., sharding=..., "
-                "pipeline=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        object.__setattr__(self, "spec", self._synthesize_spec())
+        if self.spec is None:
+            object.__setattr__(self, "spec", self._plain_spec())
 
-    def _synthesize_spec(self) -> SketchSpec:
-        """A spec equivalent to the legacy shard knobs.
-
-        Mirrors the historical wiring exactly: the sharding and pipeline
-        sections appear only when ``shards > 1`` (a 1-shard config always
-        built the plain sketch, silently ignoring executor/pipeline), and
-        the algorithm template carries the config's window/counters/seed
-        with tau left for the budget-model resolution.
-        """
-        sharded = self.shards > 1
+    def _plain_spec(self) -> SketchSpec:
+        """The unsharded controller spec: an algorithm template carrying
+        the config's window/counters/seed, with tau left for the
+        budget-model resolution."""
         return SketchSpec(
             algorithm=AlgorithmSpec(
                 family="h_memento" if self.hierarchy is not None else "memento",
@@ -153,14 +91,6 @@ class NetwideConfig:
                 delta=self.delta,
             ),
             hierarchy=hierarchy_spec_for(self.hierarchy),
-            sharding=(
-                ShardingSpec(shards=self.shards, executor=self.shard_executor)
-                if sharded
-                else None
-            ),
-            pipeline=(
-                pipeline_spec_for(self.shard_pipeline) if sharded else None
-            ),
         )
 
 
@@ -354,10 +284,10 @@ class NetwideSystem:
     def close(self) -> None:
         """Release controller-side resources (idempotent).
 
-        A sharded controller may hold executor worker processes
-        (``shard_executor="process"``/``"persistent"``) and a pipeline
-        thread; without an explicit teardown every simulated point in a
-        fig9 sweep leaks them.  The simulation owns the controller it
+        A sharded controller may hold resident worker processes (a spec
+        with ``executor="persistent"``) and a pipeline thread; without an
+        explicit teardown every simulated point in a fig9 sweep leaks
+        them.  The simulation owns the controller it
         built, so it owns the ``close()`` — callers that construct a
         :class:`NetwideSystem` directly should use it as a context
         manager or call :meth:`close` when done.
@@ -479,10 +409,13 @@ def run_error_experiment(
             "bytes_per_packet": system.bytes_sent / max(1, len(stream)),
             "tau": system.tau,
             "batch_size": float(system.batch_size),
-            "shards": float(config.shards),
+            "shards": 1.0,
         }
-        if system.resolved_spec is not None:
+        spec = system.resolved_spec
+        if spec is not None:
+            if spec.sharding is not None:
+                summary["shards"] = float(spec.sharding.shards)
             # the row is reproducible from this alone: build_engine(spec)
             # is the controller, byte-identical under the recorded seed
-            summary["spec"] = system.resolved_spec.to_dict()
+            summary["spec"] = spec.to_dict()
     return summary

@@ -6,33 +6,22 @@ Public surface:
   :class:`repro.core.api.SlidingSketch`, with global-window alignment
   for the Memento family and merge-on-query combining.
 * :func:`shard_index` — the deterministic routing hash.
-* Executors — :class:`SerialExecutor`, :class:`ThreadExecutor`,
-  :class:`ProcessExecutor`, :class:`PersistentProcessExecutor`
-  (resident shard workers; state never round-trips per batch), and
-  :func:`make_executor`.
+* :class:`PersistentProcessExecutor` — resident shard workers (state
+  never round-trips per batch); ``executor="serial"`` runs shards in
+  the calling process instead.
 * Pipelined front-end — :class:`PipelineConfig` /
   ``ShardedSketch(pipeline=...)``: coalesced write buffering plus a
   background partitioner thread overlapping worker applies.
 """
 
-from .executors import (
-    PersistentProcessExecutor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from .executors import PersistentProcessExecutor
 from .pipeline import PipelineConfig, make_pipeline_config
 from .sharded import ShardedSketch, shard_index
 
 __all__ = [
     "ShardedSketch",
     "shard_index",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "PersistentProcessExecutor",
-    "make_executor",
     "PipelineConfig",
     "make_pipeline_config",
 ]

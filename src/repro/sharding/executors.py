@@ -1,54 +1,26 @@
-"""Pluggable executors for per-shard ingestion work.
+"""Resident shard workers for :class:`~repro.sharding.sharded.ShardedSketch`.
 
-:class:`repro.sharding.sharded.ShardedSketch` hands each shard's batch
-plan to an executor; the executor decides where the work runs.  Four
-strategies ship:
+A sharded sketch runs its shards in one of two places: in the calling
+process (``executor="serial"``, no executor object at all) or in the
+:class:`PersistentProcessExecutor` defined here — one long-lived worker
+process per shard holding the shard sketch **resident**.  The initial
+state is shipped once (``seed``), each batch sends only its per-shard
+plan (positions + owned items), and reads run **inside** the workers:
+``call(fn, *args)`` evaluates ``fn(shard, *args)`` where the shard lives
+and ships back only the result — a point query costs one float per
+asked worker.  Full state returns to the parent only for whole-sketch
+reads (``collect``, itself a ``call`` of a function that returns the
+shard).
 
-* :class:`SerialExecutor` — run shard plans one after another in the
-  calling thread.  Zero overhead, the default, and the baseline the
-  sharded-ingest bench gates against.
-* :class:`ThreadExecutor` — a ``concurrent.futures`` thread pool.  Under
-  CPython's GIL pure-Python sketch updates do not speed up wall-clock,
-  but the strategy exercises the exact concurrency structure a
-  free-threaded build or a C-accelerated sketch kernel would use, and it
-  overlaps any I/O a custom sketch performs.
-* :class:`ProcessExecutor` — a process pool using a *round-trip* model:
-  the shard sketch and its plan are pickled to a worker, mutated there,
-  and the updated sketch is pickled back.  Shards therefore always live
-  in the parent between calls (queries never cross process boundaries),
-  at the price of serializing state both ways — profitable only when the
-  per-batch compute dwarfs the pickling cost.
-* :class:`PersistentProcessExecutor` — one long-lived worker process per
-  shard holding the shard sketch **resident**: the initial state is
-  shipped once (``seed``), each batch sends only its per-shard plan
-  (positions + owned items) over a pipe, and reads run **inside** the
-  workers: ``call(fn, *args)`` evaluates ``fn(shard, *args)`` where the
-  shard lives and ships back only the result — a point query costs one
-  float per asked worker.  Full state returns to the parent only for
-  whole-sketch reads (``collect``, itself a ``call`` of a function that
-  returns the shard).  This removes the
-  per-batch state round-trip that makes :class:`ProcessExecutor`
-  profitable only for huge batches, and it is the strategy whose
-  ingestion critical path actually scales with shard count.  Marked
-  ``stateful = True`` so the sharding layer switches to the
-  seed/submit/call protocol instead of ``map``.
-
-  The plan payload channel is the ``transport`` knob: ``"pipe"``
-  (default) pickles each task into the worker pipe; ``"shm"`` adds one
-  :class:`~repro.sharding.shm.PlanRing` shared-memory ring per worker —
-  vectorizable task columns (numpy plan columns, int/str/bytes item
-  lists) are written into the ring and the pipe carries only a slot
-  descriptor, with automatic per-task fallback to the pickle message
-  for payloads that don't fit a slot or can't ride a column.  Both
-  transports deliver equal task arguments, pinned by the differential
-  suite in ``tests/sharding/test_shm_transport.py``.
-
-The stateless executors implement ``map(fn, tasks)`` — apply
-``fn(*task)`` for each task, returning results in task order — and
-``close()``.  Any object with that surface can be passed wherever an
-executor name is accepted; objects additionally exposing the stateful
-protocol (``stateful``/``seed``/``submit``/``broadcast``/``call``)
-get the resident-worker treatment.
+The plan payload channel is the ``transport`` knob: ``"pipe"``
+(default) pickles each task into the worker pipe; ``"shm"`` adds one
+:class:`~repro.sharding.shm.PlanRing` shared-memory ring per worker —
+vectorizable task columns (numpy plan columns, int/str/bytes item
+lists) are written into the ring and the pipe carries only a slot
+descriptor, with automatic per-task fallback to the pickle message for
+payloads that don't fit a slot or can't ride a column.  Both transports
+deliver equal task arguments, pinned by the differential suite in
+``tests/sharding/test_shm_transport.py``.
 """
 
 from __future__ import annotations
@@ -56,19 +28,19 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .shm import PlanRing, TRACKER_FORK_LOCK, rebuild_task, split_task
 
 __all__ = [
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "PersistentProcessExecutor",
-    "make_executor",
+    "EXECUTORS",
     "TRANSPORTS",
 ]
+
+#: Where a sharded sketch can run its shards: in the calling process, or
+#: in one resident :class:`PersistentProcessExecutor` worker per shard.
+EXECUTORS = ("persistent", "serial")
 
 #: Plan payload channels the persistent executor supports.
 TRANSPORTS = ("pipe", "shm")
@@ -79,84 +51,6 @@ TRANSPORTS = ("pipe", "shm")
 #: worker turns into a loud, diagnosable failure instead of an infinite
 #: parent hang.
 DEFAULT_COLLECT_TIMEOUT = 120.0
-
-
-class SerialExecutor:
-    """Run shard plans sequentially in the calling thread (the default)."""
-
-    def map(self, fn: Callable, tasks: Sequence[Tuple]) -> List:
-        """Apply ``fn(*task)`` per task, in order."""
-        return [fn(*task) for task in tasks]
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-class _PoolExecutor:
-    """Shared lazy-pool plumbing for the thread/process strategies."""
-
-    _pool_cls = None  # set by subclasses
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError(
-                f"max_workers must be positive, got {max_workers}"
-            )
-        self.max_workers = max_workers
-        self._pool = None
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = self._pool_cls(max_workers=self.max_workers)
-        return self._pool
-
-    def map(self, fn: Callable, tasks: Sequence[Tuple]) -> List:
-        """Apply ``fn(*task)`` per task on the pool, preserving order.
-
-        One future per task (not ``pool.map`` over transposed columns,
-        which silently returned ``[]`` for zero-arity tasks and
-        truncated ragged ones), so the result always has exactly one
-        entry per task.
-        """
-        if not tasks:
-            return []
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, *task) for task in tasks]
-        results = [future.result() for future in futures]
-        if len(results) != len(tasks):  # pragma: no cover - structural guard
-            raise RuntimeError(
-                f"executor returned {len(results)} results for "
-                f"{len(tasks)} tasks"
-            )
-        return results
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent); a later map() re-creates it."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __del__(self):  # pragma: no cover - interpreter-teardown best effort
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool execution of shard plans (lazy pool creation)."""
-
-    _pool_cls = ThreadPoolExecutor
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool execution via sketch round-tripping.
-
-    ``fn`` and every task element must be picklable; the returned
-    (mutated) sketch replaces the parent's copy.
-    """
-
-    _pool_cls = ProcessPoolExecutor
 
 
 def _shard_state(shard):
@@ -272,8 +166,6 @@ class PersistentProcessExecutor:
     the shard states themselves.  ``close()`` terminates the workers;
     the sketch re-seeds lazily afterwards.
     """
-
-    stateful = True
 
     def __init__(
         self,
@@ -487,59 +379,3 @@ class PersistentProcessExecutor:
             self.close()
         except Exception:
             pass
-
-
-_EXECUTORS = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-    "persistent": PersistentProcessExecutor,
-}
-
-
-def make_executor(spec: object = "serial"):
-    """Resolve an executor: a name (``serial``/``thread``/``process``/
-    ``persistent``) or any ready object exposing one of the protocols.
-
-    The stateful (resident-worker) protocol is checked **first**: an
-    executor declaring ``stateful`` with the full
-    ``seed``/``submit``/``broadcast``/``call``/``close`` surface gets
-    the resident treatment even when it also exposes a stateless
-    ``map()`` — matching how :class:`ShardedSketch` routes ingestion off
-    the ``stateful`` flag.
-    """
-    if isinstance(spec, str):
-        try:
-            cls = _EXECUTORS[spec]
-        except KeyError:
-            raise ValueError(
-                f"unknown executor {spec!r}; expected one of "
-                f"{sorted(_EXECUTORS)}"
-            ) from None
-        return cls()
-    if getattr(spec, "stateful", False):
-        # a declared stateful executor must carry the complete
-        # resident-worker protocol: ShardedSketch routes ingestion off
-        # the flag, so letting one through on the map()/close() fallback
-        # would defer the failure to a mid-ingestion AttributeError
-        missing = [
-            name
-            for name in ("seed", "submit", "broadcast", "call", "close")
-            if getattr(spec, name, None) is None
-        ]
-        if missing:
-            raise TypeError(
-                f"executor declares stateful=True but is missing "
-                f"{'/'.join(missing)} of the resident-worker protocol: "
-                f"{spec!r}"
-            )
-        return spec
-    if (
-        getattr(spec, "map", None) is not None
-        and getattr(spec, "close", None) is not None
-    ):
-        return spec
-    raise TypeError(
-        f"executor must be a name, expose map()/close(), or expose the "
-        f"stateful seed/submit/broadcast/call/close protocol, got {spec!r}"
-    )

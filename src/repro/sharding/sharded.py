@@ -31,8 +31,11 @@ Two query disciplines cover the two ways keys relate to routing:
   window-aware merge (:func:`repro.core.merge.merge_windowed_entry_sets`)
   with its summed-quantum error bound.
 
-On a stateful (resident-worker) executor the shard state lives in the
-workers, and reads go where the state is.  Point reads — ``query``,
+Shards run in one of two places.  ``executor="serial"`` applies every
+shard plan inline in the calling process.  ``executor="persistent"`` (or
+a ready :class:`~repro.sharding.executors.PersistentProcessExecutor`)
+keeps each shard resident in its own worker process; the shard state
+then lives in the workers, and reads go where the state is.  Point reads — ``query``,
 ``query_lower``, ``query_point`` — flush, then ask the workers through
 the executor's ``call``: route mode asks only the owning shard's worker,
 sum mode asks every worker and adds the answers, and only floats cross
@@ -57,13 +60,23 @@ identical to synchronous ingestion.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from numbers import Integral
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from ..core.api import Entry, SlidingSketch, WindowedEntries
+from ..core.api import Entry, SlidingSketch
 from ..core.batching import BatchIngest, as_batch
 from ..core.kernel import plan_from_positions
 from ..core.merge import (
@@ -71,7 +84,7 @@ from ..core.merge import (
     merge_entry_sets,
     merge_windowed_entry_sets,
 )
-from .executors import _shard_state, make_executor
+from .executors import EXECUTORS, PersistentProcessExecutor, _shard_state
 from .pipeline import PipelinedDispatcher, Run, WriteBuffer, make_pipeline_config
 
 __all__ = ["ShardedSketch", "shard_index"]
@@ -79,27 +92,6 @@ __all__ = ["ShardedSketch", "shard_index"]
 _MASK64 = (1 << 64) - 1
 
 QUERY_MODES = ("route", "sum")
-
-#: Batch size (items) above which the per-shard item gathers fan out
-#: across the shared thread pool.  ``np.take`` releases the GIL for
-#: large gathers, so overlapping them only pays off once each gather is
-#: big enough to amortize the task handoff; below the bar the loop runs
-#: inline.
-PARALLEL_GATHER_MIN = 1 << 16
-
-_GATHER_POOL: Optional[ThreadPoolExecutor] = None
-
-
-def _gather_pool() -> ThreadPoolExecutor:
-    """The process-wide gather pool (lazily created, shared by all
-    sketches — gathers are pure reads, so interleaving is safe)."""
-    global _GATHER_POOL
-    if _GATHER_POOL is None:
-        _GATHER_POOL = ThreadPoolExecutor(
-            max_workers=4, thread_name_prefix="shard-gather"
-        )
-    return _GATHER_POOL
-
 
 def _mix64(value: int) -> int:
     """Finalizing 64-bit mix (murmur3 fmix64): decorrelates low bits so
@@ -116,11 +108,18 @@ def _mix64(value: int) -> int:
 def shard_index(key: Hashable, shards: int) -> int:
     """Deterministic shard owner of ``key`` among ``shards`` partitions.
 
-    Integers are mixed directly (stable across processes); other types
+    Integers — Python ints and any other :class:`numbers.Integral`, such
+    as numpy scalars — are mixed by value (stable across processes, and
+    identical to the vectorized routing of integer batches); other types
     go through ``hash()`` first (stable within a process — set
     ``PYTHONHASHSEED`` for cross-process stability of strings).
     """
-    h = key if isinstance(key, int) else hash(key)
+    if isinstance(key, int):
+        h = key
+    elif isinstance(key, Integral):
+        h = int(key)
+    else:
+        h = hash(key)
     return _mix64(h) % shards
 
 
@@ -141,20 +140,8 @@ def _group_by_owner(owners: np.ndarray, shards: int) -> List[np.ndarray]:
     return np.split(order, bounds)
 
 
-def _gather_items(probe: np.ndarray, groups: List[np.ndarray]) -> List[np.ndarray]:
-    """Gather each group's items from the probe column.
-
-    Large batches fan the per-shard ``np.take`` gathers across the
-    shared thread pool (``np.take`` releases the GIL); small ones run
-    inline — the handoff would cost more than the copy.
-    """
-    if probe.size >= PARALLEL_GATHER_MIN and len(groups) > 1:
-        return list(_gather_pool().map(probe.take, groups))
-    return [probe.take(group) for group in groups]
-
-
 def _apply_shard_plan(shard, positions, items, total, windowed, method):
-    """Apply one shard's slice of a global batch; returns the shard.
+    """Apply one shard's slice of a global batch, in place.
 
     ``positions`` are the global batch indices of the shard's owned
     ``items`` (ascending).  The slice is compiled into a kernel
@@ -164,7 +151,7 @@ def _apply_shard_plan(shard, positions, items, total, windowed, method):
     (``sampled=True`` routes pre-sampled controller feeds through
     ``ingest_samples``).  Windowed shards thereby stay aligned with the
     *global* window; interval shards just receive their owned packets.
-    Module-level (not a closure) so the process executors can pickle it.
+    Module-level (not a closure) so it pickles to resident workers.
 
     The columnar (shared-memory) lane passes ``positions``/``items`` as
     numpy arrays instead of lists: items decode to the plain Python
@@ -182,7 +169,7 @@ def _apply_shard_plan(shard, positions, items, total, windowed, method):
     if not windowed:
         if items:
             getattr(shard, method)(items)
-        return shard
+        return
     plan = plan_from_positions(
         items, np.asarray(positions, dtype=np.int64), total
     )
@@ -190,11 +177,11 @@ def _apply_shard_plan(shard, positions, items, total, windowed, method):
         ingest_owned = getattr(shard, "ingest_plan_owned", None)
         if ingest_owned is not None:
             ingest_owned(plan)
-            return shard
+            return
     ingest_plan = getattr(shard, "ingest_plan", None)
     if ingest_plan is not None:
         ingest_plan(plan, sampled=method == "ingest_samples")
-        return shard
+        return
     # custom shard without the kernel surface: replay the plan manually
     ingest = getattr(shard, method)
     gap = shard.ingest_gap
@@ -206,13 +193,11 @@ def _apply_shard_plan(shard, positions, items, total, windowed, method):
     tail = plan.tail_gap
     if tail:
         gap(tail)
-    return shard
 
 
 def _apply_shard_gap(shard, count):
     """Advance one resident shard's window (persistent-executor message)."""
     shard.ingest_gap(count)
-    return shard
 
 
 def _shard_estimate(shard, key, names):
@@ -223,6 +208,24 @@ def _shard_estimate(shard, key, names):
         if fn is not None:
             return fn(key)
     return shard.query(key)
+
+
+def _resolve_executor(
+    executor: Union[str, PersistentProcessExecutor]
+) -> Optional[PersistentProcessExecutor]:
+    """The resident-worker executor a spec names (``None`` = serial)."""
+    if isinstance(executor, PersistentProcessExecutor):
+        return executor
+    if not isinstance(executor, str):
+        raise TypeError(
+            f"executor must be one of {EXECUTORS} or a "
+            f"PersistentProcessExecutor, got {executor!r}"
+        )
+    if executor not in EXECUTORS:
+        raise ValueError(
+            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
+        )
+    return PersistentProcessExecutor() if executor == "persistent" else None
 
 
 class ShardedSketch(BatchIngest):
@@ -239,9 +242,11 @@ class ShardedSketch(BatchIngest):
         and delegates straight to the inner sketch (the no-regression
         fast path the bench gates).
     executor:
-        ``"serial"`` (default), ``"thread"``, ``"process"``, or any
-        object with ``map(fn, tasks)``/``close()`` — see
-        :mod:`repro.sharding.executors`.
+        ``"serial"`` (default) applies shard plans inline in the calling
+        process; ``"persistent"`` or a ready
+        :class:`~repro.sharding.executors.PersistentProcessExecutor`
+        (e.g. one built with ``transport="shm"``) keeps each shard
+        resident in its own worker process.
     key_fn:
         Maps an *item* to its routing key (default: the item itself).
         H-Memento deployments route whole packets while querying
@@ -283,7 +288,7 @@ class ShardedSketch(BatchIngest):
         self,
         factory: Callable[[int], SlidingSketch],
         shards: int = 1,
-        executor: object = "serial",
+        executor: Union[str, PersistentProcessExecutor] = "serial",
         key_fn: Optional[Callable[[Hashable], Hashable]] = None,
         query_mode: str = "route",
         merge_counters: Optional[int] = None,
@@ -291,8 +296,7 @@ class ShardedSketch(BatchIngest):
         windowed: Optional[bool] = None,
     ) -> None:
         # every knob validates BEFORE the factory runs: a bad executor or
-        # pipeline spec must not first construct (and, for stateful
-        # executors, potentially leak) S shard sketches
+        # pipeline spec must not first construct S shard sketches
         if shards <= 0:
             raise ValueError(f"shards must be positive, got {shards}")
         if query_mode not in QUERY_MODES:
@@ -307,7 +311,11 @@ class ShardedSketch(BatchIngest):
         #: buffer plus a lazily-started background dispatcher thread;
         #: every query path drains both through ``flush``
         self._pipeline_config = make_pipeline_config(pipeline)
-        self._executor = make_executor(executor)
+        #: resident workers holding the shard state (None = serial):
+        #: ingestion then ships only plans, point reads are answered in
+        #: the workers, and ``_sync_shards`` pulls state back lazily at
+        #: the first whole-sketch read after a batch
+        self._executor = _resolve_executor(executor)
         self.num_shards = int(shards)
         self.query_mode = query_mode
         self.merge_counters = merge_counters
@@ -328,11 +336,6 @@ class ShardedSketch(BatchIngest):
                     f"has no ingest_gap"
                 )
             self.windowed = bool(windowed)
-        #: a stateful executor keeps shard state resident in its workers:
-        #: ingestion ships only plans, point reads are answered in the
-        #: workers, and ``_sync_shards`` pulls state back lazily at the
-        #: first whole-sketch read after a batch
-        self._stateful = bool(getattr(self._executor, "stateful", False))
         self._buffer = (
             WriteBuffer(self._pipeline_config.buffer_size)
             if self._pipeline_config is not None
@@ -361,13 +364,17 @@ class ShardedSketch(BatchIngest):
         """Vectorized owner column for an integer batch, or ``None``.
 
         Returns ``(owners, probe)`` — the per-item shard ids and the
-        items as a numpy column — for the common integer-packet streams;
-        only a genuinely integral batch qualifies (a float anywhere
-        makes ``asarray`` produce a float dtype, which would silently
-        truncate and diverge from the scalar hash routing).  ``None``
-        sends the caller to the Python-loop fallback.
+        items as a numpy column — for the common integer-packet streams,
+        Python ints and numpy integer scalars alike; only a genuinely
+        integral batch qualifies (a float anywhere makes ``asarray``
+        produce a float dtype, which would silently truncate and diverge
+        from the scalar routing of :func:`shard_index`).  ``None`` sends
+        the caller to the Python-loop fallback.
         """
-        if self._key_fn is not None or not len(items) or type(items[0]) is not int:
+        if self._key_fn is not None or not len(items):
+            return None
+        first = items[0]
+        if type(first) is not int and not isinstance(first, np.integer):
             return None
         try:
             probe = np.asarray(items)
@@ -388,27 +395,38 @@ class ShardedSketch(BatchIngest):
         owners = mixed % np.uint64(self.num_shards)
         return owners, probe
 
-    def _partition(
+    def _partition_columns(
         self, items: Sequence, positions: Optional[np.ndarray] = None
-    ) -> List[tuple]:
-        """Split a batch into per-shard ``(positions, items)`` list pairs.
+    ) -> Optional[List[tuple]]:
+        """Split an integer batch into per-shard ``(positions, items)``
+        numpy pairs, or ``None`` when the batch doesn't vectorize.
 
         ``positions`` are the items' stream positions within a run
         (``None``: the batch index itself); each shard gets the
-        positions of the items it owns.
+        positions of the items it owns, ascending.
         """
-        shards = self.num_shards
         routed = self._route_owners(items)
-        if routed is not None:
-            owners, probe = routed
-            groups = _group_by_owner(owners, shards)
-            gathered = _gather_items(probe, groups)
-            if positions is not None:
-                groups = [positions[group] for group in groups]
+        if routed is None:
+            return None
+        owners, probe = routed
+        groups = _group_by_owner(owners, self.num_shards)
+        gathered = [probe.take(group) for group in groups]
+        if positions is not None:
+            groups = [positions[group] for group in groups]
+        return list(zip(groups, gathered))
+
+    def _partition(
+        self, items: Sequence, positions: Optional[np.ndarray] = None
+    ) -> List[tuple]:
+        """:meth:`_partition_columns` as per-shard ``(positions, items)``
+        list pairs, with a Python routing loop for any batch."""
+        columns = self._partition_columns(items, positions)
+        if columns is not None:
             return [
                 (owned_at.tolist(), owned.tolist())
-                for owned_at, owned in zip(groups, gathered)
+                for owned_at, owned in columns
             ]
+        shards = self.num_shards
         key_fn = self._key_fn
         per_positions: List[list] = [[] for _ in range(shards)]
         per_items: List[list] = [[] for _ in range(shards)]
@@ -419,23 +437,6 @@ class ShardedSketch(BatchIngest):
             per_positions[j].append(idx)
             per_items[j].append(item)
         return list(zip(per_positions, per_items))
-
-    def _partition_columns(
-        self, items: Sequence, positions: Optional[np.ndarray] = None
-    ) -> Optional[List[tuple]]:
-        """Columnar :meth:`_partition`: per-shard ``(positions, items)``
-        numpy pairs for the shared-memory transport, or ``None`` when the
-        batch doesn't vectorize (the caller partitions into lists and the
-        executor's per-task fallback picks the channel)."""
-        routed = self._route_owners(items)
-        if routed is None:
-            return None
-        owners, probe = routed
-        groups = _group_by_owner(owners, self.num_shards)
-        gathered = _gather_items(probe, groups)
-        if positions is not None:
-            groups = [positions[group] for group in groups]
-        return list(zip(groups, gathered))
 
     # ------------------------------------------------------------------
     # ingestion (SlidingSketch + WindowedSketch surface)
@@ -573,35 +574,34 @@ class ShardedSketch(BatchIngest):
                     self._shards[0], positions, items, n, windowed, method
                 )
             return
-        if self._stateful:
-            partition = None
-            if getattr(self._executor, "transport", None) == "shm":
-                # columnar lane: positions/items stay numpy arrays so the
-                # executor ships them through the shared-memory ring and
-                # the worker consumes zero-copy views
-                partition = self._partition_columns(items, positions)
-            if partition is None:
-                partition = self._partition(items, positions)
-            if not self._resident:
-                # ship current parent state once; from here on only the
-                # per-shard plans cross the pipes
-                self._executor.seed(self._shards)
-                self._resident = True
-            self._executor.submit(
-                _apply_shard_plan,
-                [
-                    (owned_at, owned, n, windowed, method)
-                    for owned_at, owned in partition
-                ],
-            )
-            self._shards_stale = True
+        executor = self._executor
+        if executor is None:
+            for shard, (owned_at, owned) in zip(
+                self._shards, self._partition(items, positions)
+            ):
+                _apply_shard_plan(shard, owned_at, owned, n, windowed, method)
             return
-        partition = self._partition(items, positions)
-        tasks = [
-            (shard, owned_at, owned, n, windowed, method)
-            for shard, (owned_at, owned) in zip(self._shards, partition)
-        ]
-        self._shards = self._executor.map(_apply_shard_plan, tasks)
+        partition = None
+        if executor.transport == "shm":
+            # columnar lane: positions/items stay numpy arrays so the
+            # executor ships them through the shared-memory ring and
+            # the worker consumes zero-copy views
+            partition = self._partition_columns(items, positions)
+        if partition is None:
+            partition = self._partition(items, positions)
+        if not self._resident:
+            # ship current parent state once; from here on only the
+            # per-shard plans cross the pipes
+            executor.seed(self._shards)
+            self._resident = True
+        executor.submit(
+            _apply_shard_plan,
+            [
+                (owned_at, owned, n, windowed, method)
+                for owned_at, owned in partition
+            ],
+        )
+        self._shards_stale = True
 
     # ------------------------------------------------------------------
     # pipelined front-end plumbing
@@ -931,7 +931,8 @@ class ShardedSketch(BatchIngest):
             if self._dispatcher is not None:
                 self._dispatcher.close()
             self._shards_stale = False
-            self._executor.close()
+            if self._executor is not None:
+                self._executor.close()
             self._resident = False
 
     def __enter__(self) -> "ShardedSketch":

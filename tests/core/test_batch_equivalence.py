@@ -274,16 +274,13 @@ class TestExactEquivalence:
 
 
 class TestThreeGenerationEquivalence:
-    """Scalar, blocked (PR 1), and vectorized (columnar kernel) feeding
-    must all land in byte-identical state under a fixed seed."""
+    """Three feeds — the scalar ``update`` loop (the reference), the
+    vectorized ``update_many`` over the ragged 1/7/64/1023/4096 chunk
+    schedule, and one whole-stream ``update_many`` — must all land in
+    byte-identical state under a fixed seed."""
 
-    def blocked_feed(self, sketch, stream, chunks=(1, 7, 64, 1023, 4096)):
-        i, ci, n = 0, 0, len(stream)
-        while i < n:
-            chunk = chunks[ci % len(chunks)]
-            sketch.update_many_blocked(stream[i : i + chunk])
-            i += chunk
-            ci += 1
+    def whole_feed(self, sketch, stream):
+        sketch.update_many(stream)
         return sketch
 
     @pytest.mark.parametrize("tau", [0.5, 0.1, 2**-8])
@@ -292,8 +289,8 @@ class TestThreeGenerationEquivalence:
         b = Memento(WINDOW, counters=COUNTERS, tau=tau, seed=11)
         c = Memento(WINDOW, counters=COUNTERS, tau=tau, seed=11)
         scalar_feed(a, stream)
-        self.blocked_feed(b, stream)
-        batch_feed(c, stream)
+        batch_feed(b, stream)
+        self.whole_feed(c, stream)
         assert memento_state(a) == memento_state(b) == memento_state(c)
 
     def test_hmemento(self, stream):
@@ -304,8 +301,8 @@ class TestThreeGenerationEquivalence:
         c = HMemento(window=3000, hierarchy=SRC_HIERARCHY, counters=160,
                      tau=0.3, seed=6)
         scalar_feed(a, stream)
-        self.blocked_feed(b, stream)
-        batch_feed(c, stream)
+        batch_feed(b, stream)
+        self.whole_feed(c, stream)
         assert a.updates == b.updates == c.updates
         assert (
             memento_state(a._memento)
@@ -318,8 +315,8 @@ class TestThreeGenerationEquivalence:
         b = RHHH(SRC_HIERARCHY, counters=64, seed=4)
         c = RHHH(SRC_HIERARCHY, counters=64, seed=4)
         scalar_feed(a, stream)
-        self.blocked_feed(b, stream)
-        batch_feed(c, stream)
+        batch_feed(b, stream)
+        self.whole_feed(c, stream)
         assert (a.packets, a.sampled) == (b.packets, b.sampled)
         assert (a.packets, a.sampled) == (c.packets, c.sampled)
         for x, y, z in zip(a._instances, b._instances, c._instances):

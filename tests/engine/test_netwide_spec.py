@@ -1,4 +1,4 @@
-"""NetwideConfig spec field: shim equivalence and engine-built controllers."""
+"""NetwideConfig spec field: the plain default and engine-built controllers."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from repro import (
 from repro.engine import (
     AlgorithmSpec,
     HierarchySpec,
-    PipelineSpec,
     ShardingSpec,
     SketchSpec,
     build_engine,
@@ -60,13 +59,8 @@ def spec_template(shards=None, executor="serial", pipeline=None):
 
 
 class TestDeprecationShims:
-    def test_legacy_knobs_warn(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            NetwideConfig(window=2000, shards=2)
-        with pytest.warns(DeprecationWarning):
-            NetwideConfig(window=2000, shard_executor="thread")
-        with pytest.warns(DeprecationWarning):
-            NetwideConfig(window=2000, shard_pipeline=True)
+    """The retired ``shards``/``shard_executor``/``shard_pipeline``
+    fields: ``spec=`` is the only way to shard the controller."""
 
     def test_defaults_do_not_warn(self, recwarn):
         NetwideConfig(window=2000)
@@ -75,85 +69,33 @@ class TestDeprecationShims:
         ]
 
     def test_legacy_synthesizes_spec(self):
-        with pytest.warns(DeprecationWarning):
-            config = NetwideConfig(
-                window=2000,
-                counters=64,
-                seed=5,
-                shards=4,
-                shard_executor="thread",
-                shard_pipeline=256,
-            )
+        # a config without a spec synthesizes the plain controller
+        # template from its own fields
+        config = NetwideConfig(window=2000, counters=64, seed=5)
         spec = config.spec
         assert spec.algorithm.family == "memento"
-        assert spec.sharding == ShardingSpec(shards=4, executor="thread")
-        assert spec.pipeline == PipelineSpec(buffer_size=256)
+        assert (spec.algorithm.window, spec.algorithm.counters) == (2000, 64)
+        assert spec.algorithm.seed == 5
+        assert spec.sharding is None
+        assert spec.pipeline is None
 
     def test_single_shard_legacy_stays_plain(self):
-        # a 1-shard legacy config always built the bare sketch, silently
-        # ignoring executor/pipeline — the shim must preserve that
-        with pytest.warns(DeprecationWarning):
-            config = NetwideConfig(
-                window=2000, shards=1, shard_pipeline=True
-            )
-        assert config.spec.sharding is None
-        assert config.spec.pipeline is None
+        with NetwideSystem(NetwideConfig(window=2000, seed=1)) as system:
+            assert isinstance(system.controller.algorithm.sketch, Memento)
+            assert system.resolved_spec.sharding is None
 
     def test_mixing_spec_and_legacy_knobs_rejected(self):
-        # mixing would silently discard one side; fail fast instead
-        with pytest.raises(ValueError, match="not both"):
-            NetwideConfig(
-                window=2000, shards=8, spec=spec_template(shards=2)
-            )
-        with pytest.raises(ValueError, match="not both"):
-            NetwideConfig(
-                window=2000, shard_executor="process", spec=spec_template()
-            )
-
-    def test_explicit_spec_backfills_legacy_fields(self):
-        config = NetwideConfig(
-            window=2000,
-            counters=64,
-            spec=spec_template(shards=3, executor="thread",
-                               pipeline=PipelineSpec()),
-        )
-        assert config.shards == 3
-        assert config.shard_executor == "thread"
-        assert config.shard_pipeline is True
-
-    @pytest.mark.parametrize(
-        "shards,executor,pipeline",
-        [(2, "serial", False), (3, "thread", True)],
-    )
-    def test_shim_equivalent_to_explicit_spec(
-        self, stream, shards, executor, pipeline
-    ):
-        """Legacy shard_* fields and the equivalent spec build the same
-        controller, byte-for-byte."""
-        base = dict(
-            points=3, method="batch", window=2000, counters=90, seed=13
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy_config = NetwideConfig(
-                **base,
-                shards=shards,
-                shard_executor=executor,
-                shard_pipeline=pipeline,
-            )
-        spec_config = NetwideConfig(
-            **base,
-            spec=spec_template(
-                shards=shards,
-                executor=executor,
-                pipeline=PipelineSpec() if pipeline else None,
-            ),
-        )
-        with NetwideSystem(legacy_config) as a, NetwideSystem(spec_config) as b:
-            drive(a, stream)
-            drive(b, stream)
-            a.controller.algorithm.flush()
-            b.controller.algorithm.flush()
-            assert controller_state(a) == controller_state(b)
+        for knob, value in (
+            ("shards", 8),
+            ("shard_executor", "persistent"),
+            ("shard_pipeline", True),
+        ):
+            with pytest.raises(TypeError, match=knob):
+                NetwideConfig(
+                    window=2000, spec=spec_template(shards=2), **{knob: value}
+                )
+            with pytest.raises(TypeError, match=knob):
+                NetwideConfig(window=2000, **{knob: value})
 
 
 class TestEngineBuiltControllers:

@@ -15,7 +15,6 @@ from repro.engine import (
     SketchSpec,
     build_engine,
     hierarchy_spec_for,
-    pipeline_spec_for,
     registered_algorithms,
 )
 from repro.hierarchy.domain import SRC_DST_HIERARCHY, SRC_HIERARCHY
@@ -138,10 +137,12 @@ class TestValidation:
             )
 
     def test_bad_executor_name(self):
-        payload = spec_payload("memento", sharded=True)
-        payload["sharding"]["executor"] = "warp_drive"
-        with pytest.raises(ValueError, match="executor must be one of"):
-            SketchSpec.from_dict(payload)
+        # "thread" and "process" are no longer executors
+        for name in ("warp_drive", "thread", "process"):
+            payload = spec_payload("memento", sharded=True)
+            payload["sharding"]["executor"] = name
+            with pytest.raises(ValueError, match="executor must be one of"):
+                SketchSpec.from_dict(payload)
 
     def test_bad_query_mode(self):
         payload = spec_payload("memento", sharded=True)
@@ -174,7 +175,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="transport must be one of"):
             SketchSpec.from_dict(payload)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_transport_requires_persistent_executor(self, executor):
         payload = spec_payload("memento", sharded=True)
         payload["sharding"]["executor"] = executor
@@ -210,14 +211,6 @@ class TestHierarchySpec:
         assert hierarchy_spec_for(SRC_DST_HIERARCHY) == HierarchySpec("src_dst")
         custom = object()
         assert hierarchy_spec_for(custom) == HierarchySpec("custom")
-
-
-class TestPipelineSpecHelpers:
-    def test_pipeline_spec_for(self):
-        assert pipeline_spec_for(None) is None
-        assert pipeline_spec_for(False) is None
-        assert pipeline_spec_for(True) == PipelineSpec()
-        assert pipeline_spec_for(512) == PipelineSpec(buffer_size=512)
 
 
 class TestServiceSpec:
@@ -294,11 +287,6 @@ class TestServiceSpec:
             engine.update_many(list(range(64)))
             assert engine.stats()["updates"] == 64
             assert engine.spec.service is not None
-        assert pipeline_spec_for(PipelineConfig(128, 3)) == PipelineSpec(128, 3)
-        spec = PipelineSpec(64, 4)
-        assert pipeline_spec_for(spec) is spec
-        with pytest.raises(TypeError):
-            pipeline_spec_for("fast")
 
     def test_to_config(self):
         config = PipelineSpec(buffer_size=128, depth=3).to_config()
@@ -335,7 +323,6 @@ class TestTransportKnob:
 
     def test_resolved_transport(self):
         assert ShardingSpec().resolved_transport is None
-        assert ShardingSpec(executor="thread").resolved_transport is None
         persistent = ShardingSpec(executor="persistent")
         assert persistent.transport is None
         assert persistent.resolved_transport == "pipe"

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine import SketchSpec
+
+SHARDED_SPEC = (
+    Path(__file__).parent.parent.parent / "specs" / "netwide_sharded_controller.json"
+)
 
 
 class TestParser:
@@ -38,14 +45,24 @@ class TestMain:
 
 
 class TestShardsFlag:
+    """fig9 takes its controller sharding from ``--spec`` alone."""
+
     def test_fig9_shards_default(self):
         args = build_parser().parse_args(["fig9"])
-        assert args.shards == 1
+        assert args.spec is None  # the plain single-sketch controller
+        assert not hasattr(args, "shards")
 
     def test_fig9_shards_parsed(self):
-        args = build_parser().parse_args(["fig9", "--shards", "4"])
-        assert args.shards == 4
+        args = build_parser().parse_args(["fig9", "--spec", str(SHARDED_SPEC)])
+        spec = SketchSpec.from_file(args.spec)
+        assert spec.sharding.shards == 2
+        assert spec.sharding.executor == "persistent"
+        assert spec.pipeline is not None
 
     def test_other_figures_have_no_shards(self):
         args = build_parser().parse_args(["fig5"])
         assert not hasattr(args, "shards")
+        assert not hasattr(args, "spec")
+        for flag in ("--shards", "--executor", "--pipeline"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fig9", flag, "2"])

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 import repro.cli as cli
+
+SHARDED_SPEC = (
+    Path(__file__).parent.parent.parent / "specs" / "netwide_sharded_controller.json"
+)
 
 
 @pytest.mark.parametrize(
@@ -44,6 +50,7 @@ def test_seed_flag_forwarded(monkeypatch):
 
 
 def test_fig9_pipeline_flag_forwarded(monkeypatch):
+    # the controller's sharding/executor/pipeline ride in --spec
     module = cli._FIGURES["fig9"]
     seen = {}
 
@@ -53,12 +60,11 @@ def test_fig9_pipeline_flag_forwarded(monkeypatch):
 
     monkeypatch.setattr(module, "run", fake_run)
     monkeypatch.setattr(module, "format_table", lambda rows: "t")
-    cli.main(["fig9", "--shards", "2", "--executor", "persistent", "--pipeline"])
-    assert seen.get("shards") == 2
-    assert seen.get("executor") == "persistent"
-    assert seen.get("pipeline") is True
+    cli.main(["fig9", "--spec", str(SHARDED_SPEC)])
+    assert seen.get("spec") == str(SHARDED_SPEC)
     cli.main(["fig9"])
-    assert seen.get("pipeline") is False
+    assert seen.get("spec") is None
+    assert set(seen) == {"seed", "spec"}
 
 
 def test_fig4_worked_bypasses_run(monkeypatch, capsys):

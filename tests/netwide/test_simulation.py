@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing as mp
+from dataclasses import replace
 
 import pytest
 
@@ -10,12 +11,25 @@ from repro import (
     NetwideConfig,
     NetwideSystem,
     SRC_HIERARCHY,
+    PipelineSpec,
     ShardedSketch,
+    ShardingSpec,
     generate_trace,
     run_error_experiment,
 )
 from repro.netwide.simulation import _assignment_iter
 from repro.traffic.synth import DATACENTER
+
+
+def sharded_config(shards, executor="serial", pipeline=None, **fields):
+    """A config whose controller spec is the plain one sharded
+    ``shards`` ways."""
+    spec = replace(
+        NetwideConfig(**fields).spec,
+        sharding=ShardingSpec(shards=shards, executor=executor),
+        pipeline=pipeline,
+    )
+    return NetwideConfig(**fields, spec=spec)
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +112,10 @@ class TestLifecycle:
             window=1500,
             counters=128,
             seed=7,
-            shards=2,
-            shard_executor="persistent",
+            executor="persistent",
         )
         base.update(overrides)
-        return NetwideConfig(**base)
+        return sharded_config(2, **base)
 
     def test_close_releases_worker_processes(self, stream):
         system = NetwideSystem(self._persistent_config())
@@ -129,8 +142,9 @@ class TestLifecycle:
         assert mp.active_children() == []
 
     def test_pipelined_sharded_experiment_matches_serial(self, stream):
-        # shard_pipeline must not change a single estimate: the whole
-        # experiment (reports, gaps, on-arrival queries) is differential
+        # the pipeline section must not change a single estimate: the
+        # whole experiment (reports, gaps, on-arrival queries) is
+        # differential
         base = dict(
             points=3,
             method="batch",
@@ -138,13 +152,14 @@ class TestLifecycle:
             window=1500,
             counters=256,
             seed=7,
-            shards=2,
         )
         serial = run_error_experiment(
-            NetwideConfig(**base), stream[:6000], stride=100
+            sharded_config(2, **base), stream[:6000], stride=100
         )
         pipelined = run_error_experiment(
-            NetwideConfig(**base, shard_pipeline=True), stream[:6000], stride=100
+            sharded_config(2, pipeline=PipelineSpec(), **base),
+            stream[:6000],
+            stride=100,
         )
         assert pipelined["rmse"] == serial["rmse"]
         assert pipelined["observations"] == serial["observations"]
@@ -152,7 +167,7 @@ class TestLifecycle:
 
     def test_system_builds_pipelined_controller(self):
         config = self._persistent_config(
-            shard_executor="serial", shard_pipeline=True
+            executor="serial", pipeline=PipelineSpec()
         )
         with NetwideSystem(config) as system:
             algorithm = system.controller.algorithm

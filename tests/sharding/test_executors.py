@@ -1,4 +1,5 @@
-"""Executor strategies: identical results, lifecycle, and plumbing."""
+"""Executors: serial and resident workers give identical results;
+lifecycle and plumbing of the persistent executor."""
 
 from __future__ import annotations
 
@@ -12,12 +13,8 @@ from repro import (
     ExactWindowCounter,
     Memento,
     PersistentProcessExecutor,
-    ProcessExecutor,
-    SerialExecutor,
     ShardedSketch,
     SpaceSaving,
-    ThreadExecutor,
-    make_executor,
 )
 
 WINDOW = 96
@@ -39,86 +36,52 @@ def make_stream(n=2000, seed=23):
 
 
 class TestMakeExecutor:
+    """How ``ShardedSketch`` resolves its ``executor`` argument: the
+    names ``serial``/``persistent`` or a ready persistent executor."""
+
     def test_by_name(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("thread"), ThreadExecutor)
-        assert isinstance(make_executor("process"), ProcessExecutor)
-        assert isinstance(make_executor("persistent"), PersistentProcessExecutor)
+        serial = ShardedSketch(exact_factory, shards=2, executor="serial")
+        assert serial._executor is None
+        with ShardedSketch(
+            exact_factory, shards=2, executor="persistent"
+        ) as resident:
+            assert isinstance(resident._executor, PersistentProcessExecutor)
 
     def test_ready_object_passthrough(self):
-        executor = SerialExecutor()
-        assert make_executor(executor) is executor
+        executor = PersistentProcessExecutor(transport="shm")
+        with ShardedSketch(exact_factory, shards=2, executor=executor) as sharded:
+            assert sharded._executor is executor
+        assert not executor.seeded
 
     def test_ready_stateful_object_passthrough(self):
         executor = PersistentProcessExecutor()
-        assert make_executor(executor) is executor
         with ShardedSketch(
             exact_factory, shards=2, executor=executor
         ) as sharded:
+            assert sharded._executor is executor
             sharded.update_many(make_stream(n=200))
             assert sum(s.size for s in sharded.shards) > 0
 
     def test_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("quantum")
+        # "thread" and "process" are no longer executors
+        for name in ("quantum", "thread", "process"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                ShardedSketch(exact_factory, shards=2, executor=name)
         with pytest.raises(TypeError):
-            make_executor(42)
+            ShardedSketch(exact_factory, shards=2, executor=42)
 
     def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            ThreadExecutor(max_workers=0)
-
-    def test_stateful_with_map_gets_resident_treatment(self):
-        # the docstring promises the stateful protocol wins over a
-        # stateless map() surface on the same object; pin the check
-        # order AND that ShardedSketch actually routes the resident way
-        class Hybrid:
-            stateful = True
-
-            def __init__(self):
-                self.calls = []
-                self._shards = []
-
-            def seed(self, shards):
-                self.calls.append("seed")
-                self._shards = list(shards)
-
-            def submit(self, fn, tasks):
-                self.calls.append("submit")
-                for shard, task in zip(self._shards, tasks):
-                    fn(shard, *task)
-
-            def broadcast(self, fn, *args):
-                self.calls.append("broadcast")
-                for shard in self._shards:
-                    fn(shard, *args)
-
-            def call(self, fn, *args, worker=None):
-                self.calls.append("call")
-                shards = self._shards if worker is None else [self._shards[worker]]
-                return [fn(shard, *args) for shard in shards]
-
-            def map(self, fn, tasks):  # must never be picked
-                self.calls.append("map")
-                return [fn(*task) for task in tasks]
-
-            def close(self):
-                self.calls.append("close")
-
-        executor = Hybrid()
-        assert make_executor(executor) is executor
-        with ShardedSketch(exact_factory, shards=2, executor=executor) as sharded:
-            sharded.update_many(make_stream(n=300))
-            sharded.query(0)
-            assert sharded.entries()
-        assert "seed" in executor.calls and "submit" in executor.calls
-        assert "call" in executor.calls
-        assert "map" not in executor.calls
+        # one resident worker per shard: a bad worker count fails at
+        # construction, before any worker spawns
+        executor = PersistentProcessExecutor()
+        with pytest.raises(ValueError, match="shards"):
+            ShardedSketch(exact_factory, shards=0, executor=executor)
+        assert not executor.seeded
 
     def test_stateful_without_broadcast_is_rejected(self):
-        # the resident windowed gap path needs broadcast(); an executor
-        # claiming stateful without the full protocol must fail at
-        # construction, not with an AttributeError mid-ingestion
+        # only the persistent executor runs resident shards: a duck-typed
+        # object declaring the resident protocol is refused at
+        # construction, before any shard is built
         class Incomplete:
             stateful = True
 
@@ -131,33 +94,35 @@ class TestMakeExecutor:
             def call(self, fn, *args, worker=None):  # pragma: no cover - never called
                 return []
 
-            def close(self):
+            def close(self):  # pragma: no cover - never called
                 pass
 
-        with pytest.raises(TypeError, match="broadcast"):
-            make_executor(Incomplete())
+        def factory(i):  # pragma: no cover - must never run
+            raise AssertionError("factory ran before executor validation")
+
+        with pytest.raises(TypeError, match="PersistentProcessExecutor"):
+            ShardedSketch(factory, shards=2, executor=Incomplete())
 
     def test_stateful_flag_with_only_map_surface_is_rejected(self):
-        # stateful=True must not slip through on the map()/close()
-        # fallback: ShardedSketch routes off the flag and would crash
-        # deep inside _dispatch on the first sharded batch
         class MisdeclaredStateless:
             stateful = True
 
             def map(self, fn, tasks):  # pragma: no cover - never called
                 return [fn(*task) for task in tasks]
 
-            def close(self):
+            def close(self):  # pragma: no cover - never called
                 pass
 
-        with pytest.raises(TypeError, match="stateful=True"):
-            make_executor(MisdeclaredStateless())
+        with pytest.raises(TypeError, match="PersistentProcessExecutor"):
+            ShardedSketch(
+                exact_factory, shards=2, executor=MisdeclaredStateless()
+            )
 
 
 class TestExecutorEquivalence:
-    """Every strategy must produce byte-identical shard state."""
+    """Resident workers must produce byte-identical shard state."""
 
-    @pytest.mark.parametrize("executor", ["thread", "process", "persistent"])
+    @pytest.mark.parametrize("executor", ["persistent"])
     def test_exact_matches_serial(self, executor):
         stream = make_stream()
         reference = ShardedSketch(exact_factory, shards=4, executor="serial")
@@ -168,7 +133,7 @@ class TestExecutorEquivalence:
             for key in range(31):
                 assert sharded.query(key) == reference.query(key)
 
-    @pytest.mark.parametrize("executor", ["thread", "process", "persistent"])
+    @pytest.mark.parametrize("executor", ["persistent"])
     def test_memento_matches_serial(self, executor):
         stream = make_stream(n=1200)
         reference = ShardedSketch(memento_factory, shards=3, executor="serial")
@@ -182,18 +147,6 @@ class TestExecutorEquivalence:
             assert [s.updates for s in sharded.shards] == [
                 s.updates for s in reference.shards
             ]
-
-    def test_process_round_trip_replaces_shards(self):
-        with ShardedSketch(
-            exact_factory, shards=2, executor="process"
-        ) as sharded:
-            before = sharded.shards
-            sharded.update_many(make_stream(n=200))
-            # round-tripped shards are fresh unpickled objects
-            assert all(a is not b for a, b in zip(before, sharded.shards))
-            # every shard saw the full 200-packet stream (gap-aligned),
-            # so each window holds exactly WINDOW slots
-            assert all(s.size == WINDOW for s in sharded.shards)
 
 
 class TestPersistentExecutor:
@@ -414,55 +367,25 @@ def _stall(shard, seconds):
     time.sleep(seconds)
 
 
-def _forty_two():
-    return 42
-
-
-def _arg_count(*args):
-    return len(args)
-
-
 class TestLifecycle:
     def test_close_idempotent_and_reusable(self):
-        executor = ThreadExecutor(max_workers=2)
+        executor = PersistentProcessExecutor()
         sharded = ShardedSketch(
             exact_factory, shards=2, executor=executor
         )
         sharded.update_many([1, 2, 3, 4])
         sharded.close()
         sharded.close()
-        # a later batch lazily re-creates the pool
+        assert not executor.seeded
+        # a later batch lazily re-seeds fresh workers
         sharded.update_many([5, 6])
+        assert executor.seeded
         assert sharded.updates == 6
         sharded.close()
 
-    def test_map_empty_tasks(self):
-        assert ThreadExecutor().map(max, []) == []
-        assert SerialExecutor().map(max, []) == []
-
-    def test_map_zero_arity_tasks_keep_their_results(self):
-        # zip(*tasks) over empty tuples used to collapse the task list
-        # and silently return [] — one result per task is the contract
-        executor = ThreadExecutor(max_workers=2)
-        try:
-            assert executor.map(_forty_two, [(), ()]) == [42, 42]
-            assert executor.map(_forty_two, [()]) == [42]
-        finally:
-            executor.close()
-        assert SerialExecutor().map(_forty_two, [()]) == [42]
-
-    def test_map_ragged_arity_tasks(self):
-        # transposed pool.map also truncated ragged tasks to the
-        # shortest arity; per-task submission must apply each fully
-        executor = ThreadExecutor(max_workers=2)
-        try:
-            assert executor.map(_arg_count, [(1,), (1, 2, 3), ()]) == [1, 3, 0]
-        finally:
-            executor.close()
-
 
 class TestNonWindowedSharding:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "persistent"])
     def test_space_saving_substreams(self, executor):
         stream = make_stream()
         with ShardedSketch(

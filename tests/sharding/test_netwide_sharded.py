@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,10 +14,21 @@ from repro import (
     NetwideSystem,
     SRC_HIERARCHY,
     ShardedSketch,
+    ShardingSpec,
     SketchController,
     run_error_experiment,
 )
 from repro.netwide.messages import BatchReport
+
+
+def sharded_config(shards, **fields):
+    """A config whose controller spec is the plain one sharded
+    ``shards`` ways (serially); one shard keeps the plain controller."""
+    plain = NetwideConfig(**fields)
+    if shards == 1:
+        return plain
+    spec = replace(plain.spec, sharding=ShardingSpec(shards=shards))
+    return NetwideConfig(**fields, spec=spec)
 
 
 def make_stream(n=4000, seed=31):
@@ -72,13 +84,12 @@ class TestShardedSketchController:
 
 class TestNetwideConfigSharding:
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NetwideConfig(shards=0)
+        with pytest.raises(ValueError, match="shards"):
+            sharded_config(0, window=2000)
 
     def test_system_builds_sharded_controller(self):
-        config = NetwideConfig(
-            points=4, method="batch", window=2000, counters=64,
-            seed=1, shards=4,
+        config = sharded_config(
+            4, points=4, method="batch", window=2000, counters=64, seed=1,
         )
         system = NetwideSystem(config)
         # the controller hosts the engine facade over the sharded stack
@@ -89,9 +100,9 @@ class TestNetwideConfigSharding:
         assert system.controller.algorithm.shards[0].k == 16
 
     def test_hierarchy_uses_sum_mode(self):
-        config = NetwideConfig(
-            points=2, method="batch", window=2000, counters=200,
-            hierarchy=SRC_HIERARCHY, seed=1, shards=2,
+        config = sharded_config(
+            2, points=2, method="batch", window=2000, counters=200,
+            hierarchy=SRC_HIERARCHY, seed=1,
         )
         system = NetwideSystem(config)
         algo = system.controller.algorithm
@@ -105,14 +116,14 @@ class TestNetwideConfigSharding:
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_error_experiment_runs_sharded(self, shards):
-        config = NetwideConfig(
+        config = sharded_config(
+            shards,
             points=4,
             method="batch",
             budget=2.0,
             window=1500,
             counters=256,
             seed=7,
-            shards=shards,
         )
         stream = make_stream(n=4500, seed=7)
         result = run_error_experiment(config, stream, stride=150)
@@ -124,7 +135,8 @@ class TestNetwideConfigSharding:
     def test_sharded_hhh_output_is_conditioned(self):
         # the sharded controller's output() must run the HHH conditioning
         # (compute_hhh over merged estimates), not dump raw heavy prefixes
-        config = NetwideConfig(
+        config = sharded_config(
+            2,
             points=2,
             method="batch",
             budget=4.0,
@@ -132,7 +144,6 @@ class TestNetwideConfigSharding:
             counters=400,
             hierarchy=SRC_HIERARCHY,
             seed=5,
-            shards=2,
         )
         system = NetwideSystem(config)
         heavy = 0x0A0B0C0D
@@ -150,7 +161,8 @@ class TestNetwideConfigSharding:
         assert (heavy, 32) in out
 
     def test_sharded_hhh_error_experiment(self):
-        config = NetwideConfig(
+        config = sharded_config(
+            2,
             points=3,
             method="batch",
             budget=2.0,
@@ -158,7 +170,6 @@ class TestNetwideConfigSharding:
             counters=300,
             hierarchy=SRC_HIERARCHY,
             seed=3,
-            shards=2,
         )
         stream = make_stream(n=3600, seed=3)
         result = run_error_experiment(

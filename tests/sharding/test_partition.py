@@ -4,7 +4,8 @@
 (``index[owners == j]`` for each shard ``j``) with one stable argsort
 plus a ``searchsorted``.  These tests pin the new grouping — and the
 partition paths built on it — byte-identical to a reference
-implementation of the old loop, including the parallel-gather lane.
+implementation of the old loop, and the vectorized routing of integer
+batches (Python or numpy integers) identical to :func:`shard_index`.
 """
 
 from __future__ import annotations
@@ -15,12 +16,7 @@ import numpy as np
 import pytest
 
 from repro import ShardedSketch, SpaceSaving, shard_index
-from repro.sharding import sharded as sharded_mod
-from repro.sharding.sharded import (
-    PARALLEL_GATHER_MIN,
-    _gather_items,
-    _group_by_owner,
-)
+from repro.sharding.sharded import _group_by_owner
 
 
 def reference_groups(owners: np.ndarray, shards: int):
@@ -67,27 +63,17 @@ class TestGroupByOwner:
 
 
 class TestGatherItems:
-    def test_inline_matches_take(self, rng):
-        probe = rng.integers(0, 1000, size=256)
-        groups = _group_by_owner(probe % 3, 3)
-        gathered = _gather_items(probe, groups)
-        for group, got in zip(groups, gathered):
-            assert np.array_equal(got, probe[group])
-
-    def test_parallel_lane_identical(self, rng, monkeypatch):
-        # force the thread-pool fan-out regardless of batch size and pin
-        # it byte-identical to the inline gathers
-        monkeypatch.setattr(sharded_mod, "PARALLEL_GATHER_MIN", 1)
-        probe = rng.integers(0, 10_000, size=4096)
-        groups = _group_by_owner(probe % np.uint64(4), 4)
-        gathered = sharded_mod._gather_items(probe, groups)
-        for group, got in zip(groups, gathered):
-            assert np.array_equal(got, probe[group])
-
-    def test_threshold_is_large(self):
-        # the handoff only pays off for big batches; guard against the
-        # constant being accidentally lowered to cover every tiny batch
-        assert PARALLEL_GATHER_MIN >= 1 << 12
+    def test_inline_matches_take(self):
+        # each shard's item column is its owner group's probe.take
+        rng = random.Random(8)
+        items = [rng.randint(0, 1000) for _ in range(256)]
+        sketch = ShardedSketch(lambda i: SpaceSaving(8), shards=3)
+        owners, probe = sketch._route_owners(items)
+        groups = _group_by_owner(owners, 3)
+        columns = sketch._partition_columns(items)
+        for group, (positions, got) in zip(groups, columns):
+            assert np.array_equal(positions, group)
+            assert np.array_equal(got, probe.take(group))
 
 
 class TestPartitionPinned:
@@ -147,11 +133,43 @@ class TestPartitionPinned:
         assert sketch._route_owners(items) is None
         assert sketch._partition(items) == reference_partition(items, 2)
 
-    def test_forced_parallel_gather_end_to_end(self, monkeypatch):
-        monkeypatch.setattr(sharded_mod, "PARALLEL_GATHER_MIN", 1)
-        rng = random.Random(9)
-        items = [rng.randint(0, 10_000) for _ in range(5000)]
-        assert self.partition(items, 4) == reference_partition(items, 4)
+    #: negative keys (``hash(-1) == -2``) and keys past ``2**61 - 1``
+    #: (where ``hash`` wraps) are where hash routing would diverge
+    NUMPY_KEYS = [-1, -2, -5, 0, 7, 2**61 - 1, 2**61, 2**62, -(2**62), 2**63 - 1]
+
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_numpy_int64_keys(self, shards):
+        column = np.array(self.NUMPY_KEYS * 3, dtype=np.int64)
+        for key in column:
+            assert shard_index(key, shards) == shard_index(int(key), shards)
+        items = list(column)
+        assert self.partition(items, shards) == reference_partition(
+            [int(key) for key in items], shards
+        )
+
+    @pytest.mark.parametrize("shards", [2, 3, 4])
+    def test_numpy_uint64_keys(self, shards):
+        column = np.array(
+            [0, 1, 2**61 - 1, 2**61, 2**62, 2**63, 2**64 - 1] * 3,
+            dtype=np.uint64,
+        )
+        for key in column:
+            assert shard_index(key, shards) == shard_index(int(key), shards)
+        items = list(column)
+        assert self.partition(items, shards) == reference_partition(
+            [int(key) for key in items], shards
+        )
+
+    def test_numpy_key_batch_queries_its_owner(self):
+        # a numpy batch must land where a point query for the same
+        # Python int looks — the same answer as a list feed
+        keys = [-1] * 10 + [2**62] * 10
+        fed = {}
+        for name, batch in (("numpy", np.array(keys)), ("list", keys)):
+            sketch = ShardedSketch(lambda i: SpaceSaving(64), shards=4)
+            sketch.update_many(batch)
+            fed[name] = (sketch.query(-1), sketch.query(2**62))
+        assert fed["numpy"] == fed["list"] == (10, 10)
 
 
 class TestPartitionColumns:

@@ -139,14 +139,12 @@ EXPECTED_EXPORTS = (
     "PersistentProcessExecutor",
     "PipelineConfig",
     "PipelineSpec",
-    "ProcessExecutor",
     "QueryableSketch",
     "RHHH",
     "RunningRMSE",
     "SRC_DST_HIERARCHY",
     "SRC_HIERARCHY",
     "SamplingPoint",
-    "SerialExecutor",
     "ServiceClient",
     "ServiceDaemon",
     "ServiceSpec",
@@ -158,7 +156,6 @@ EXPECTED_EXPORTS = (
     "SlidingSketch",
     "SpaceSaving",
     "TableSampler",
-    "ThreadExecutor",
     "Trace",
     "TraceProfile",
     "VolumetricMemento",
@@ -180,7 +177,6 @@ EXPECTED_EXPORTS = (
     "inject_flood",
     "int_to_ip",
     "ip_to_int",
-    "make_executor",
     "make_prefix",
     "make_sampler",
     "memento_min_tau",
