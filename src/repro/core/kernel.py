@@ -41,7 +41,18 @@ __all__ = [
     "collapse_runs",
     "collapse_run_arrays",
     "encode_items_column",
+    "all_exact_ints",
 ]
+
+
+def all_exact_ints(items: Sequence) -> bool:
+    """True when every element of a non-empty batch is an exact ``int``.
+
+    Bools, numpy scalars and other ``int`` subclasses disqualify the
+    batch: an encoding that admitted them would hand back plain ints,
+    changing the keys' types on the way through.
+    """
+    return len(items) > 0 and set(map(type, items)) == {int}
 
 
 def encode_items_column(items: Sequence) -> Optional[np.ndarray]:
@@ -66,7 +77,7 @@ def encode_items_column(items: Sequence) -> Optional[np.ndarray]:
         return None
     first = type(items[0])
     if first is int:
-        if any(type(item) is not int for item in items):
+        if not all_exact_ints(items):
             return None
         try:
             arr = np.asarray(items)
@@ -284,12 +295,16 @@ def make_plan(items: Sequence, decisions: Optional[np.ndarray]) -> IngestPlan:
 
     ``decisions`` is the boolean column from ``sampler.decision_array``
     (``None`` means every packet is selected → a dense plan).  The
-    selected positions come from one ``np.flatnonzero``; the item gather
-    stays a list comprehension because packets may be arbitrary hashables.
+    selected positions come from one ``np.flatnonzero``.  A 1-D numpy
+    ``items`` column is gathered at those positions and only the
+    selected keys become Python scalars (``.tolist()``); any other
+    sequence is gathered with a list comprehension, because packets may
+    be arbitrary hashables.
     """
     n = len(items)
+    column = isinstance(items, np.ndarray)
     if decisions is None:
-        return IngestPlan(n, None, items)
+        return IngestPlan(n, None, items.tolist() if column else items)
     decisions = np.asarray(decisions, dtype=bool)
     if decisions.size != n:
         raise ValueError(
@@ -297,8 +312,11 @@ def make_plan(items: Sequence, decisions: Optional[np.ndarray]) -> IngestPlan:
         )
     positions = np.flatnonzero(decisions)
     if positions.size == n:
-        return IngestPlan(n, None, items)
-    selected = [items[i] for i in positions.tolist()]
+        return IngestPlan(n, None, items.tolist() if column else items)
+    if column:
+        selected = items[positions].tolist()
+    else:
+        selected = [items[i] for i in positions.tolist()]
     return IngestPlan(n, positions, selected)
 
 

@@ -286,9 +286,12 @@ class Memento(BatchIngest):
         gap run-lengths), and :meth:`ingest_plan` replays the plan with
         gaps collapsing into counter arithmetic and sampled packets
         taking the inlined Full-update path.  No per-packet Python
-        objects are created for the unsampled majority.
+        objects are created for the unsampled majority; a 1-D numpy
+        column (the service's binary reports) stays a column until the
+        plan gathers the sampled keys out of it.
         """
-        items = as_batch(items)
+        if not (isinstance(items, np.ndarray) and items.ndim == 1):
+            items = as_batch(items)
         n = len(items)
         if n == 0:
             return

@@ -2,13 +2,14 @@
 
 The library becomes a daemon: :class:`IngestServer` hosts one
 :class:`~repro.engine.HeavyHitterEngine` behind a length-prefixed
-JSON-lines protocol (TCP and/or unix socket), accepting batched packet
+frame protocol (TCP and/or unix socket), accepting batched packet
 reports from many concurrent clients and serving live
 ``heavy_hitters`` / ``top_k`` / ``query`` / ``stats`` with
 flush-consistent reads.  The pieces:
 
 * :mod:`repro.service.protocol` — the ``repro-wire/1`` framing (4-byte
-  big-endian length prefix + JSON object) shared by server and clients.
+  big-endian length prefix + a JSON object, or a binary report of
+  little-endian int64 keys) shared by server and clients.
 * :mod:`repro.service.checkpoint` — the versioned ``repro-ckpt/1``
   checkpoint envelope (resolved spec + pickled engine state + stream
   position + CRC), written atomically, and :class:`CheckpointStore`

@@ -17,7 +17,9 @@ surface plus the service ops:
 * ``checkpoint()`` — force a checkpoint now; returns its path and
   position.
 
-Keys travel as JSON, so non-JSON keys (tuples — hierarchical prefix
+``report`` sends a batch of int64 ``int`` keys as one binary frame and
+any other batch as JSON (:func:`~repro.service.protocol.encode_report`).
+Answers travel as JSON, so non-JSON keys (tuples — hierarchical prefix
 entries) come back as lists; the helpers convert them back to tuples so
 ``heavy_hitters`` round-trips for every family.
 """
@@ -31,8 +33,10 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from .protocol import (
     ProtocolError,
     encode_frame,
+    encode_report,
     read_frame_async,
     read_frame_sync,
+    rekey,
     send_frame_sync,
 )
 
@@ -41,13 +45,6 @@ __all__ = ["AsyncServiceClient", "ServiceClient", "ServiceError"]
 
 class ServiceError(RuntimeError):
     """The daemon answered ``ok: false`` (or the stream broke)."""
-
-
-def _rekey(key: object) -> Hashable:
-    """JSON round-trip repair: list-encoded tuple keys become tuples."""
-    if isinstance(key, list):
-        return tuple(_rekey(part) for part in key)
-    return key
 
 
 def _check(response: Optional[Dict[str, object]], request_id: int) -> Dict[str, object]:
@@ -68,6 +65,7 @@ class ServiceClient:
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
+        self._tcp = sock.family in (socket.AF_INET, socket.AF_INET6)
         self._next_id = 0
         self._closed = False
 
@@ -97,7 +95,7 @@ class ServiceClient:
     # --- fire-and-forget ingestion ------------------------------------
     def report(self, items: Sequence[Hashable]) -> None:
         """Submit a batch of packet reports (no response)."""
-        send_frame_sync(self._sock, {"op": "report", "items": list(items)})
+        self._sock.sendall(encode_report(items))
 
     def gap(self, count: int) -> None:
         """Advance the daemon's window for ``count`` unobserved packets."""
@@ -109,7 +107,14 @@ class ServiceClient:
         request_id = self._next_id
         message["id"] = request_id
         try:
+            # push the request (and any reports still held back by
+            # Nagle's algorithm) now instead of after the peer's delayed
+            # ACK; reports alone keep coalescing
+            if self._tcp:
+                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             send_frame_sync(self._sock, message)
+            if self._tcp:
+                self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 0)
             response = read_frame_sync(self._sock)
         except (ProtocolError, OSError) as exc:
             raise ServiceError(f"daemon connection failed: {exc}") from None
@@ -126,12 +131,12 @@ class ServiceClient:
     def heavy_hitters(self, theta: float) -> Dict[Hashable, float]:
         """Flush-consistent heavy hitters above ``theta``."""
         response = self._request({"op": "heavy_hitters", "theta": theta})
-        return {_rekey(key): value for key, value in response["items"]}
+        return {rekey(key): value for key, value in response["items"]}
 
     def top_k(self, k: int) -> List[Tuple[Hashable, float]]:
         """Flush-consistent ``k`` largest tracked keys."""
         response = self._request({"op": "top_k", "k": int(k)})
-        return [(_rekey(key), value) for key, value in response["items"]]
+        return [(rekey(key), value) for key, value in response["items"]]
 
     def stats(self) -> Dict[str, object]:
         """Engine + service stats (position, inflight peak, checkpoints)."""
@@ -187,7 +192,7 @@ class AsyncServiceClient:
     async def report(self, items: Sequence[Hashable]) -> None:
         """Submit a batch of packet reports (no response; ``drain()``
         is where the daemon's backpressure reaches this coroutine)."""
-        self._writer.write(encode_frame({"op": "report", "items": list(items)}))
+        self._writer.write(encode_report(items))
         await self._writer.drain()
 
     async def gap(self, count: int) -> None:
@@ -219,12 +224,12 @@ class AsyncServiceClient:
     async def heavy_hitters(self, theta: float) -> Dict[Hashable, float]:
         """Flush-consistent heavy hitters above ``theta``."""
         response = await self._request({"op": "heavy_hitters", "theta": theta})
-        return {_rekey(key): value for key, value in response["items"]}
+        return {rekey(key): value for key, value in response["items"]}
 
     async def top_k(self, k: int) -> List[Tuple[Hashable, float]]:
         """Flush-consistent ``k`` largest tracked keys."""
         response = await self._request({"op": "top_k", "k": int(k)})
-        return [(_rekey(key), value) for key, value in response["items"]]
+        return [(rekey(key), value) for key, value in response["items"]]
 
     async def stats(self) -> Dict[str, object]:
         """Engine + service stats (position, inflight peak, checkpoints)."""

@@ -10,9 +10,20 @@ one ordered queue drained by a pump task, and all engine work runs on a
 single dedicated thread, so the engine observes a serial op stream
 exactly as a synchronous caller would have produced.
 
-**Backpressure** is real, not a growing queue: each report/gap frame's
-wire bytes are charged against ``ServiceSpec.max_inflight_bytes``
-*before* the handler reads its client's next frame, and credited back
+**Reading**: each client handler reads its socket in ``READ_SIZE``
+chunks and parses every complete frame in the buffer in one loop.
+Binary report payloads (:data:`~repro.service.protocol.KIND_REPORT`)
+are kept as raw byte slices, never decoded on the event loop; the
+consecutive reports of a chunk, binary and JSON alike, become one
+queue op.  A gap or synchronous op first enqueues the reports parsed
+before it, so each connection's op order is the order of its frames.
+On the engine thread, consecutive binary reports are joined into one
+int64 column (``np.frombuffer``) and handed to ``engine.update_many``
+as a single call.
+
+**Backpressure** is real, not a growing queue: the wire bytes of each
+report/gap op are charged against ``ServiceSpec.max_inflight_bytes``
+*before* the handler reads its client's next chunk, and credited back
 only after the engine applied the op.  A full budget therefore stops
 the server reading, the socket buffers fill, and the transport pushes
 back on the producing clients (one over-budget op is admitted when the
@@ -51,20 +62,40 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from ..engine.facade import HeavyHitterEngine, SpecLike, _coerce_spec, build_engine
 from ..engine.spec import SketchSpec
 from .checkpoint import CheckpointStore
-from .protocol import ProtocolError, encode_frame, read_frame_sized_async
+from .protocol import (
+    KIND_REPORT,
+    PREFIX,
+    ProtocolError,
+    check_length,
+    check_report_size,
+    decode_payload,
+    encode_frame,
+    rekey,
+)
 
 __all__ = ["IngestServer", "ServiceDaemon"]
 
 #: Queue sentinel asking the pump task to exit.
 _STOP = object()
 
-#: Ops applied by the engine thread via the ordered queue.
-_INGEST_OPS = ("report", "gap")
+#: Bytes a client handler asks its socket for per read.
+READ_SIZE = 64 * 1024
+
+#: The pump stops merging queued report ops into one engine hop once
+#: they hold this many wire bytes.
+MERGE_BYTES = 16 * READ_SIZE
+
+#: One report as queued: the int64 payload bytes of a binary frame, or
+#: the item list of a JSON frame.
+Segment = Union[bytes, list]
+
 _SYNC_OPS = ("flush", "query", "heavy_hitters", "top_k", "stats", "checkpoint")
 
 
@@ -280,21 +311,22 @@ class IngestServer:
             if kind == "report":
                 # merge consecutive report ops into one engine hop: the
                 # executor handoff (~tens of µs) would otherwise dominate
-                # report-sized batches
-                items = list(payload)
+                # report-sized batches; the cap bounds the hop's
+                # transient columns
+                segments = list(payload)
                 total_bytes = nbytes
-                while True:
+                while total_bytes < MERGE_BYTES:
                     try:
                         nxt = self._queue.get_nowait()
                     except asyncio.QueueEmpty:
                         break
                     if nxt[0] == "report":
-                        items.extend(nxt[1])
+                        segments.extend(nxt[1])
                         total_bytes += nxt[2]
                     else:
                         carry = nxt
                         break
-                await self._apply(loop, self._engine_report, items)
+                await self._apply(loop, self._engine_report, segments)
                 await self._release(total_bytes)
             elif kind == "gap":
                 await self._apply(loop, self._engine_gap, payload)
@@ -329,9 +361,27 @@ class IngestServer:
             self._failure = traceback.format_exc()
 
     # --- engine-thread bodies -----------------------------------------
-    def _engine_report(self, items: List[object]) -> None:
+    def _engine_report(self, segments: List[Segment]) -> None:
+        """Apply reports in order; each run of consecutive binary
+        reports goes to the engine as one int64 column."""
+        column: List[bytes] = []
+        for segment in segments:
+            if type(segment) is bytes:
+                column.append(segment)
+                continue
+            if column:
+                self._engine_column(column)
+                column = []
+            self._engine.update_many(segment)
+            self._position += len(segment)
+        if column:
+            self._engine_column(column)
+
+    def _engine_column(self, payloads: List[bytes]) -> None:
+        joined = payloads[0] if len(payloads) == 1 else b"".join(payloads)
+        items = np.frombuffer(joined, dtype="<i8")
         self._engine.update_many(items)
-        self._position += len(items)
+        self._position += items.size
 
     def _engine_gap(self, count: int) -> None:
         self._engine.ingest_gap(count)
@@ -347,7 +397,7 @@ class IngestServer:
             return {"position": self._position}
         if kind == "query":
             self._engine.flush()
-            return {"value": self._engine.query(payload["key"])}
+            return {"value": self._engine.query(rekey(payload["key"]))}
         if kind == "heavy_hitters":
             self._engine.flush()
             heavy = self._engine.heavy_hitters(float(payload["theta"]))
@@ -389,51 +439,16 @@ class IngestServer:
     ) -> None:
         task = asyncio.current_task()
         self._handler_tasks.add(task)
-        loop = asyncio.get_running_loop()
+        buf = bytearray()
         try:
             while True:
-                sized = await read_frame_sized_async(reader)
-                if sized is None:
+                chunk = await reader.read(READ_SIZE)
+                if not chunk:
+                    if buf:
+                        raise ProtocolError("stream truncated inside a frame")
                     break
-                message, nbytes = sized
-                op = message.get("op")
-                if op == "report":
-                    items = message.get("items")
-                    if not isinstance(items, list):
-                        break  # malformed fire-and-forget: drop the client
-                    await self._acquire(nbytes)
-                    self._queue.put_nowait(("report", items, nbytes, None))
-                    continue
-                if op == "gap":
-                    count = message.get("count")
-                    if not isinstance(count, int) or count < 0:
-                        break
-                    await self._acquire(nbytes)
-                    self._queue.put_nowait(("gap", count, nbytes, None))
-                    continue
-                request_id = message.get("id")
-                if op not in _SYNC_OPS:
-                    writer.write(
-                        encode_frame(
-                            {
-                                "id": request_id,
-                                "ok": False,
-                                "error": f"unknown op {op!r}",
-                            }
-                        )
-                    )
-                    await writer.drain()
-                    continue
-                future = loop.create_future()
-                self._queue.put_nowait((op, message, 0, future))
-                try:
-                    result = await future
-                    response = {"id": request_id, "ok": True}
-                    response.update(result)
-                except Exception as exc:
-                    response = {"id": request_id, "ok": False, "error": str(exc)}
-                writer.write(encode_frame(response))
-                await writer.drain()
+                buf += chunk
+                await self._parse(buf, writer)
         except (
             ProtocolError,
             ConnectionResetError,
@@ -448,6 +463,88 @@ class IngestServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    async def _parse(self, buf: bytearray, writer: asyncio.StreamWriter) -> None:
+        """Act on every complete frame in ``buf`` and remove them.
+
+        Reports pile up in one pending op until a gap, a synchronous op
+        or the end of the buffer; the pending op is enqueued (and its
+        budget charged) before any of those, and also when a malformed
+        frame ends the connection, so every frame received before the
+        bad one is applied.
+        """
+        unpack_from = PREFIX.unpack_from
+        size = len(buf)
+        offset = 0
+        reports: List[Segment] = []
+        report_bytes = 0
+        try:
+            while size - offset >= PREFIX.size:
+                length = check_length(unpack_from(buf, offset)[0])
+                start = offset + PREFIX.size
+                end = start + length
+                if end > size:
+                    break
+                offset = end
+                if length and buf[start] == KIND_REPORT:
+                    check_report_size(length)
+                    reports.append(bytes(buf[start + 1 : end]))
+                    report_bytes += PREFIX.size + length
+                    continue
+                message = decode_payload(bytes(buf[start:end]))
+                op = message.get("op")
+                if op == "report":
+                    items = message.get("items")
+                    if not isinstance(items, list):
+                        raise ProtocolError("report items must be a list")
+                    if list in set(map(type, items)):
+                        items = [rekey(item) for item in items]
+                    reports.append(items)
+                    report_bytes += PREFIX.size + length
+                    continue
+                if reports:
+                    await self._enqueue_reports(reports, report_bytes)
+                    reports, report_bytes = [], 0
+                if op == "gap":
+                    count = message.get("count")
+                    if not isinstance(count, int) or count < 0:
+                        raise ProtocolError("gap count must be a non-negative int")
+                    await self._acquire(PREFIX.size + length)
+                    self._queue.put_nowait(
+                        ("gap", count, PREFIX.size + length, None)
+                    )
+                else:
+                    await self._answer(op, message, writer)
+        except ProtocolError:
+            if reports:
+                await self._enqueue_reports(reports, report_bytes)
+            raise
+        del buf[:offset]
+        if reports:
+            await self._enqueue_reports(reports, report_bytes)
+
+    async def _enqueue_reports(self, reports: List[Segment], nbytes: int) -> None:
+        await self._acquire(nbytes)
+        self._queue.put_nowait(("report", reports, nbytes, None))
+
+    async def _answer(
+        self, op: object, message: Dict[str, object], writer: asyncio.StreamWriter
+    ) -> None:
+        """Run one synchronous op through the queue and write its response."""
+        request_id = message.get("id")
+        if op not in _SYNC_OPS:
+            response = {"id": request_id, "ok": False, "error": f"unknown op {op!r}"}
+        else:
+            future = asyncio.get_running_loop().create_future()
+            self._queue.put_nowait((op, message, 0, future))
+            try:
+                result = await future
+                response = {"id": request_id, "ok": True}
+                response.update(result)
+            except Exception as exc:
+                response = {"id": request_id, "ok": False, "error": str(exc)}
+        writer.write(encode_frame(response))
+        await writer.drain()
 
 
 class ServiceDaemon:

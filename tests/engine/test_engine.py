@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -22,7 +23,12 @@ from repro import (
     SpaceSaving,
     generate_trace,
 )
-from repro.engine import HeavyHitterEngine, SketchSpec, build_engine
+from repro.engine import (
+    HeavyHitterEngine,
+    SketchSpec,
+    build_engine,
+    registered_algorithms,
+)
 from repro.traffic.synth import BACKBONE
 
 WINDOW = 4096
@@ -313,6 +319,51 @@ class TestTopKUnified:
         assert len(top) == 3
         for key, est in top:
             assert est == engine.query(key)
+
+
+def _native(key) -> bool:
+    """True when ``key`` is a plain int, or a tuple of native parts."""
+    if type(key) is tuple:
+        return all(_native(part) for part in key)
+    return type(key) is int
+
+
+class TestNumpyColumnFeed:
+    """A numpy column feeds native int keys into every family.
+
+    ``update_many(np.array(...))`` used to store numpy scalars as keys,
+    which then leaked out of ``heavy_hitters``/``top_k``/``entries``
+    (and broke the service's JSON answers).
+    """
+
+    def test_every_family_is_covered(self):
+        covered = {p["algorithm"]["family"] for p in TestTopKUnified.FAMILIES}
+        assert covered == set(registered_algorithms())
+
+    @pytest.mark.parametrize(
+        "payload", TestTopKUnified.FAMILIES,
+        ids=lambda p: p["algorithm"]["family"],
+    )
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_keys_come_back_native(self, payload, dtype, stream):
+        batch = [7] * 500 + list(stream[:2500])
+        with build_engine(payload) as fed_column, \
+                build_engine(payload) as fed_list:
+            fed_column.update_many(np.array(batch, dtype=dtype))
+            fed_list.update_many(batch)
+            top = fed_column.top_k(5)
+            heavy = fed_column.heavy_hitters(0.05)
+            entries = fed_column.entries()
+            assert top and heavy and entries
+            for key, _ in top:
+                assert _native(key), (key, type(key))
+            for key in heavy:
+                assert _native(key), (key, type(key))
+            for key, _, _ in entries:
+                assert _native(key), (key, type(key))
+            assert top == fed_list.top_k(5)
+            assert heavy == fed_list.heavy_hitters(0.05)
+            assert entries == fed_list.entries()
 
 
 class TestLifecycle:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
+import time
 
 import pytest
 
@@ -18,7 +19,14 @@ from repro.service import (
     ServiceError,
 )
 from repro.service.cli import _override_service, build_parser
-from repro.service.protocol import read_frame_sync, send_frame_sync
+from repro.service.protocol import (
+    MAX_FRAME,
+    encode_frame,
+    encode_report,
+    read_frame_sync,
+    send_frame_sync,
+)
+from repro.service.server import READ_SIZE
 
 
 def service_spec(**service):
@@ -99,6 +107,19 @@ class TestLiveQueries:
                 client.gap(97)
                 assert client.flush() == 100
 
+    def test_request_after_reports_is_not_held_by_nagle(self):
+        # a request sent behind unacknowledged reports used to wait for
+        # the daemon's delayed ACK (~40 ms a round trip on Linux)
+        with ServiceDaemon(service_spec()) as daemon:
+            with ServiceClient.connect(port=daemon.port) as client:
+                began = time.perf_counter()
+                for _ in range(20):
+                    client.report(list(range(100)))
+                    client.flush()
+                elapsed = time.perf_counter() - began
+                assert client.flush() == 2000
+        assert elapsed < 0.4
+
     def test_stats_exposes_service_counters(self):
         with ServiceDaemon(service_spec()) as daemon:
             with ServiceClient.connect(port=daemon.port) as client:
@@ -136,6 +157,84 @@ class TestLiveQueries:
                 assert read_frame_sync(sock) is None  # daemon hung up
             finally:
                 sock.close()
+
+
+class TestChunkedReader:
+    """The handler's buffer parser: bad frames drop only their client."""
+
+    BAD_STREAMS = {
+        # 2 keys plus 3 stray bytes: not 1 + 8n
+        "binary-size": struct.pack(">I", 20) + b"\x01" + bytes(19),
+        "unknown-kind": struct.pack(">I", 9) + b"\x02" + bytes(8),
+        "eof-mid-frame": struct.pack(">I", 100) + b"\x01" + bytes(10),
+        "eof-mid-prefix": b"\x00\x00",
+        "over-max-frame": struct.pack(">I", MAX_FRAME + 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_STREAMS))
+    def test_bad_stream_drops_only_its_client(self, name):
+        with ServiceDaemon(service_spec()) as daemon:
+            with ServiceClient.connect(port=daemon.port) as other:
+                other.report([1, 2, 3])
+                bad = socket.create_connection(
+                    ("127.0.0.1", daemon.port), timeout=10
+                )
+                try:
+                    # good frames ahead of the bad one are still applied
+                    bad.sendall(encode_report([5] * 10) + self.BAD_STREAMS[name])
+                    if name.startswith("eof"):
+                        bad.shutdown(socket.SHUT_WR)
+                    assert read_frame_sync(bad) is None  # daemon hung up
+                finally:
+                    bad.close()
+                other.report([4, 5])
+                assert other.flush() == 15
+                assert other.query(5) == 11.0
+                stats = other.stats()
+        assert stats["inflight_bytes"] == 0
+        assert stats["failure"] is None
+        assert stats["clients"] == 1
+
+    def test_one_byte_writes(self):
+        raw = (
+            encode_report([1, 2, 2])
+            + encode_frame({"op": "report", "items": [3, "x"]})
+            + encode_frame({"op": "gap", "count": 5})
+            + encode_frame({"op": "flush", "id": 1})
+        )
+        with ServiceDaemon(service_spec()) as daemon:
+            sock = socket.create_connection(("127.0.0.1", daemon.port))
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for i in range(len(raw)):
+                    sock.sendall(raw[i : i + 1])
+                    time.sleep(0.0005)
+                response = read_frame_sync(sock)
+            finally:
+                sock.close()
+            with ServiceClient.connect(port=daemon.port) as client:
+                assert client.query(2) == 2.0
+                assert client.query("x") == 1.0
+        assert response == {"id": 1, "ok": True, "position": 10}
+
+    @pytest.mark.parametrize("kind", ["binary", "json"])
+    def test_frame_larger_than_a_read(self, kind):
+        items = [1_000_000 + i % 1000 for i in range(3 * READ_SIZE // 8)]
+        raw = (
+            encode_report(items)
+            if kind == "binary"
+            else encode_frame({"op": "report", "items": items})
+        )
+        assert len(raw) > 2 * READ_SIZE
+        with ServiceDaemon(service_spec()) as daemon:
+            sock = socket.create_connection(("127.0.0.1", daemon.port))
+            with ServiceClient(sock) as client:
+                sock.sendall(raw + encode_report([1_000_007]))
+                assert client.flush() == len(items) + 1
+                assert client.query(1_000_007) == float(
+                    items.count(1_000_007) + 1
+                )
+                assert client.stats()["inflight_bytes"] == 0
 
 
 class TestConcurrentClients:
