@@ -213,6 +213,9 @@ class HeavyHitterEngine:
             out["updates"] = None
         if self._spec.algorithm.window is not None:
             out["window"] = self._spec.algorithm.window
+        if self.sharded:
+            out["point_read_calls"] = sketch.point_read_calls
+            out["point_read_hits"] = sketch.point_read_hits
         return out
 
     # ------------------------------------------------------------------

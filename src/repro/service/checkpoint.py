@@ -4,13 +4,18 @@ One checkpoint file is a self-describing envelope::
 
     b"repro-ckpt/1\\n"                       # magic + schema version
     <4-byte big-endian header length>
-    <header JSON>                            # spec, position, state CRC
+    <header JSON>                            # spec, position, routing, state CRC
     <pickled engine state snapshot>
 
 The header carries the **resolved** :class:`~repro.engine.SketchSpec`
 dict, so :meth:`CheckpointStore.restore` rebuilds the exact engine via
 :func:`~repro.engine.build_engine` before adopting the pickled state —
 a checkpoint is sufficient on its own, no side-channel config.  The
+``routing`` field names the shard routing the state was partitioned
+under (:data:`~repro.sharding.sharded.ROUTING_ID`); a checkpoint stamped
+with another routing is refused, since its shards would be asked for
+keys they never saw.  A header without the field predates the stamp and
+still loads.  The
 ``position`` field is the global stream position (items accepted) at
 snapshot time: a supervisor replays the tail from there and, under
 fixed seeds, lands byte-identical to an uninterrupted run (pinned by
@@ -38,6 +43,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
 from ..engine.spec import SketchSpec
+from ..sharding.sharded import ROUTING_ID
 
 __all__ = [
     "MAGIC",
@@ -111,6 +117,7 @@ def write_checkpoint(
             "schema": "repro-ckpt/1",
             "spec": spec.to_dict(),
             "position": int(position),
+            "routing": ROUTING_ID,
             "state_len": len(blob),
             "state_crc": zlib.crc32(blob),
             "created_unix": time.time(),
@@ -147,6 +154,12 @@ def read_checkpoint(path: Union[str, Path]) -> Checkpoint:
     if header.get("schema") != "repro-ckpt/1":
         raise CheckpointError(
             f"{path}: unsupported schema {header.get('schema')!r}"
+        )
+    routing = header.get("routing", ROUTING_ID)
+    if routing != ROUTING_ID:
+        raise CheckpointError(
+            f"{path}: state was routed by {routing!r}, this build routes "
+            f"by {ROUTING_ID!r}"
         )
     blob = raw[offset:]
     if len(blob) != header["state_len"]:

@@ -7,10 +7,11 @@ process per shard holding the shard sketch **resident**.  The initial
 state is shipped once (``seed``), each batch sends only its per-shard
 plan (positions + owned items), and reads run **inside** the workers:
 ``call(fn, *args)`` evaluates ``fn(shard, *args)`` where the shard lives
-and ships back only the result — a point query costs one float per
-asked worker.  Full state returns to the parent only for whole-sketch
-reads (``collect``, itself a ``call`` of a function that returns the
-shard).
+and ships back only the result — a batch of point queries costs one
+reply per asked worker, one float per key (the sharded sketch asks a
+read epoch's keys in one call).  Full state returns to the parent only
+for whole-sketch reads (``collect``, itself a ``call`` of a function
+that returns the shard).
 
 The plan payload channel is the ``transport`` knob: ``"pipe"``
 (default) pickles each task into the worker pipe; ``"shm"`` adds one

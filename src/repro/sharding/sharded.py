@@ -37,9 +37,13 @@ a ready :class:`~repro.sharding.executors.PersistentProcessExecutor`)
 keeps each shard resident in its own worker process; the shard state
 then lives in the workers, and reads go where the state is.  Point reads — ``query``,
 ``query_lower``, ``query_point`` — flush, then ask the workers through
-the executor's ``call``: route mode asks only the owning shard's worker,
-sum mode asks every worker and adds the answers, and only floats cross
-the pipes.  Whole-sketch reads (``entries``, ``merged_window``,
+the executor's ``call``: route mode asks the owning shard's worker, sum
+mode asks every worker and adds the answers, and only floats cross the
+pipes.  Point-read answers are cached per ingestion version, and the
+first worker call of a write epoch also asks for every key the previous
+read epoch asked (up to :data:`PREFETCH_KEYS`), so a detection loop that
+re-reads the same keys after each batch pays one round trip per epoch,
+not one per key.  Whole-sketch reads (``entries``, ``merged_window``,
 ``heavy_hitters``, ``output``, ``candidates``, ``shards``,
 ``state_snapshot``) and ``close`` pull the full shard state back into
 the parent once per ingestion epoch (``_sync_shards``) and merge it
@@ -59,9 +63,10 @@ identical to synchronous ingestion.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from itertools import chain
-from numbers import Integral
+from numbers import Integral, Real
 from typing import (
     Callable,
     Dict,
@@ -87,11 +92,24 @@ from ..core.merge import (
 from .executors import EXECUTORS, PersistentProcessExecutor, _shard_state
 from .pipeline import PipelinedDispatcher, Run, WriteBuffer, make_pipeline_config
 
-__all__ = ["ShardedSketch", "shard_index"]
+__all__ = ["ShardedSketch", "shard_index", "ROUTING_ID"]
 
 _MASK64 = (1 << 64) - 1
 
 QUERY_MODES = ("route", "sum")
+
+#: Names the routing function of :func:`shard_index`.  Checkpoints stamp
+#: it into their header: shard state partitioned under one routing must
+#: not be restored under another, where a key would be asked of a shard
+#: that never saw it.
+ROUTING_ID = "fmix64+blake2b8/1"
+
+#: Most keys one read epoch remembers per read kind, and so the most
+#: keys the next epoch's first worker call asks for in one reply.
+PREFETCH_KEYS = 1024
+
+_MISS = object()
+
 
 def _mix64(value: int) -> int:
     """Finalizing 64-bit mix (murmur3 fmix64): decorrelates low bits so
@@ -105,17 +123,64 @@ def _mix64(value: int) -> int:
     return value
 
 
+def _canonical_bytes(key: object) -> Optional[bytes]:
+    """Type-tagged, seed-free byte encoding of ``key``, or ``None``.
+
+    ``str`` (UTF-8), ``bytes``, integers and tuples of these (nested
+    tuples too) encode as a one-byte type tag, a length and the payload,
+    so distinct keys never share an encoding and the bytes are the same
+    in every process.  Inside a tuple an integral real (``1.0``) encodes
+    as the equal int, so tuples that compare equal route alike.
+    """
+    if type(key) is int:
+        value = key
+    elif isinstance(key, str):
+        payload = key.encode("utf-8", "surrogatepass")
+        return b"s" + len(payload).to_bytes(8, "big") + payload
+    elif isinstance(key, bytes):
+        return b"b" + len(key).to_bytes(8, "big") + key
+    elif isinstance(key, tuple):
+        parts = [_canonical_bytes(part) for part in key]
+        if None in parts:
+            return None
+        payload = b"".join(parts)
+        return b"t" + len(payload).to_bytes(8, "big") + payload
+    elif isinstance(key, Integral):
+        value = int(key)
+    elif isinstance(key, Real):
+        try:
+            value = int(key)
+        except (ValueError, OverflowError):  # nan, inf
+            return None
+        if value != key:
+            return None
+    else:
+        return None
+    payload = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
+    return b"i" + len(payload).to_bytes(8, "big") + payload
+
+
 def shard_index(key: Hashable, shards: int) -> int:
     """Deterministic shard owner of ``key`` among ``shards`` partitions.
 
     Integers — Python ints and any other :class:`numbers.Integral`, such
-    as numpy scalars — are mixed by value (stable across processes, and
-    identical to the vectorized routing of integer batches); other types
-    go through ``hash()`` first (stable within a process — set
-    ``PYTHONHASHSEED`` for cross-process stability of strings).
+    as numpy scalars — are mixed by value (identical to the vectorized
+    routing of integer batches).  ``str``, ``bytes`` and tuples of these
+    and of integers are hashed with BLAKE2b over a type-tagged encoding
+    and then mixed.  Both are the same in every process, whatever its
+    ``PYTHONHASHSEED`` (:data:`ROUTING_ID` names this routing).  Any
+    other key type goes through ``hash()``, which is stable only within
+    one process.
     """
     if isinstance(key, int):
         h = key
+    elif isinstance(key, (str, bytes, tuple)):
+        encoded = _canonical_bytes(key)
+        if encoded is None:
+            h = hash(key)
+        else:
+            digest = hashlib.blake2b(encoded, digest_size=8).digest()
+            h = int.from_bytes(digest, "big")
     elif isinstance(key, Integral):
         h = int(key)
     else:
@@ -208,6 +273,12 @@ def _shard_estimate(shard, key, names):
         if fn is not None:
             return fn(key)
     return shard.query(key)
+
+
+def _shard_estimates(shard, keys, names):
+    """:func:`_shard_estimate` for each of ``keys``, in order: one worker
+    reply answers a whole read epoch (module-level: workers run it)."""
+    return [_shard_estimate(shard, key, names) for key in keys]
 
 
 def _resolve_executor(
@@ -349,6 +420,19 @@ class ShardedSketch(BatchIngest):
         self._merge_version = -1
         self._merged_entries: Optional[List[Entry]] = None
         self._merged_view: Optional[MergedWindowSketch] = None
+        #: point reads answered by resident workers: the answers for
+        #: version ``_read_version`` keyed by ``(names, key)``, the keys
+        #: each read kind (``names``) asked in that epoch, and the keys it
+        #: asked in the epoch before, which the epoch's first worker call
+        #: prefetches
+        self._read_version = -1
+        self._read_cache: Dict[Tuple[Tuple[str, ...], Hashable], float] = {}
+        self._read_keys: Dict[Tuple[str, ...], Dict[Hashable, None]] = {}
+        self._prefetch_keys: Dict[Tuple[str, ...], List[Hashable]] = {}
+        #: worker calls made by point reads, and point reads the cache
+        #: answered without one
+        self.point_read_calls = 0
+        self.point_read_hits = 0
 
     # ------------------------------------------------------------------
     # routing
@@ -672,17 +756,72 @@ class ShardedSketch(BatchIngest):
         Route mode asks the owning shard (``key_fn`` applies, exactly as
         it did at ingestion); sum mode adds the per-shard estimates in
         shard order.  While resident workers hold newer state than the
-        parent, the question goes to them (one ``call``, answered in
-        place) instead of pulling every shard back.
+        parent, the question goes to them (:meth:`_worker_estimate`)
+        instead of pulling every shard back.  A key the workers already
+        answered at the current version is served from the read cache
+        before any flush: an unchanged version means no write since.
         """
+        if self._read_version == self._version:
+            answer = self._read_cache.get((names, key), _MISS)
+            if answer is not _MISS:
+                self.point_read_hits += 1
+                self._remember(names, key)
+                return answer
         self.flush()
-        owner = self.shard_of(key) if self.query_mode == "route" else None
         if self._shards_stale:
-            answers = self._executor.call(_shard_estimate, key, names, worker=owner)
+            return self._worker_estimate(key, names)
+        if self.query_mode == "route":
+            return _shard_estimate(self._shards[self.shard_of(key)], key, names)
+        return sum(_shard_estimate(shard, key, names) for shard in self._shards)
+
+    def _worker_estimate(self, key: Hashable, names: Tuple[str, ...]) -> float:
+        """A point-read miss, answered by the resident workers.
+
+        The first miss at a new version opens a read epoch: the keys the
+        previous epoch asked become its prefetch list.  The first miss of
+        each read kind then asks for ``key`` plus that list in one
+        ``call`` and caches every answer; later misses ask for their own
+        key only.  Route mode asks only the owner when every asked key
+        has the same one (always so with nothing to prefetch), else every
+        worker, keeping each key's owner's answer; sum mode adds the
+        workers' answers per key in shard order.  A key joins the
+        epoch's read set only after a successful reply, and a failed call
+        has already spent the prefetch list, so a key that raises cannot
+        fail the next epoch's reads.
+        """
+        if self._read_version != self._version:
+            self._prefetch_keys = {
+                kind: list(asked) for kind, asked in self._read_keys.items()
+            }
+            self._read_keys = {}
+            self._read_cache = {}
+            self._read_version = self._version
+        prefetch = self._prefetch_keys.pop(names, ())
+        keys = list(dict.fromkeys(chain((key,), prefetch)))[:PREFETCH_KEYS]
+        self.point_read_calls += 1
+        if self.query_mode == "route":
+            owners = [self.shard_of(k) for k in keys]
+            if len(set(owners)) == 1:
+                (answers,) = self._executor.call(
+                    _shard_estimates, keys, names, worker=owners[0]
+                )
+            else:
+                replies = self._executor.call(_shard_estimates, keys, names)
+                answers = [replies[j][i] for i, j in enumerate(owners)]
         else:
-            shards = self._shards if owner is None else [self._shards[owner]]
-            answers = [_shard_estimate(shard, key, names) for shard in shards]
-        return sum(answers) if owner is None else answers[0]
+            replies = self._executor.call(_shard_estimates, keys, names)
+            answers = [sum(column) for column in zip(*replies)]
+        cache = self._read_cache
+        for k, answer in zip(keys, answers):
+            cache[(names, k)] = answer
+        self._remember(names, key)
+        return answers[0]
+
+    def _remember(self, names: Tuple[str, ...], key: Hashable) -> None:
+        """Add ``key`` to this epoch's read set (capped at PREFETCH_KEYS)."""
+        asked = self._read_keys.setdefault(names, {})
+        if len(asked) < PREFETCH_KEYS:
+            asked[key] = None
 
     def query(self, key: Hashable) -> float:
         """Window/interval frequency estimate for ``key``."""

@@ -231,6 +231,33 @@ class TestUnifiedSurface:
         assert stats["window"] == WINDOW
         assert "windowed" in stats["capabilities"]
 
+    def test_stats_count_point_reads_of_sharded_engines(self, engine, stream):
+        assert "point_read_calls" not in engine.stats()
+        keys = list(dict.fromkeys(stream[:400]))[:30]
+        with build_engine({
+            "algorithm": {"family": "memento", "window": WINDOW,
+                          "counters": 32, "seed": 3},
+            "sharding": {"shards": 2, "executor": "persistent"},
+        }) as sharded:
+            sharded.update_many(stream[:3000])
+            stats = sharded.stats()
+            assert (stats["point_read_calls"], stats["point_read_hits"]) == (0, 0)
+            for key in keys:
+                sharded.query_point(key)
+            sharded.query_point(keys[0])
+            stats = sharded.stats()
+            assert (stats["point_read_calls"], stats["point_read_hits"]) == (
+                len(keys), 1
+            )
+            # the next epoch asks the same keys in one worker call
+            sharded.update_many(stream[3000:6000])
+            for key in keys:
+                sharded.query_point(key)
+            stats = sharded.stats()
+            assert (stats["point_read_calls"], stats["point_read_hits"]) == (
+                len(keys) + 1, len(keys)
+            )
+
     def test_output_falls_back_to_heavy_hitters(self, engine):
         assert engine.output(0.01) == set(engine.heavy_hitters(0.01))
         assert engine.heavy_prefixes(0.01) == engine.heavy_hitters(0.01)

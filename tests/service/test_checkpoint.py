@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import pytest
 
 from repro.engine import SketchSpec, build_engine
@@ -13,6 +16,7 @@ from repro.service.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.sharding.sharded import ROUTING_ID
 
 SPEC = SketchSpec.from_dict(
     {
@@ -31,6 +35,21 @@ def engine_state(n=500):
     with build_engine(SPEC) as engine:
         engine.update_many([i % 50 for i in range(n)])
         return engine.snapshot_state()
+
+
+def rewrite_header(path, edit):
+    """Re-encode a checkpoint's JSON header through ``edit(header)``."""
+    raw = path.read_bytes()
+    offset = len(MAGIC)
+    (length,) = struct.unpack_from(">I", raw, offset)
+    offset += 4
+    header = json.loads(raw[offset : offset + length])
+    edit(header)
+    encoded = json.dumps(header).encode("utf-8")
+    path.write_bytes(
+        MAGIC + struct.pack(">I", len(encoded)) + encoded + raw[offset + length :]
+    )
+    return header
 
 
 class TestAtomicWrite:
@@ -56,6 +75,23 @@ class TestEnvelope:
         assert checkpoint.state["kind"] == "bare"
         assert checkpoint.path == path
         assert checkpoint.created_unix > 0
+
+    def test_header_stamps_the_routing(self, tmp_path):
+        path = write_checkpoint(tmp_path / "c.bin", SPEC, 500, engine_state())
+        header = rewrite_header(path, lambda header: None)
+        assert header["routing"] == ROUTING_ID
+        assert read_checkpoint(path).position == 500
+
+    def test_other_routing_refused(self, tmp_path):
+        path = write_checkpoint(tmp_path / "c.bin", SPEC, 500, engine_state())
+        rewrite_header(path, lambda header: header.update(routing="hash/0"))
+        with pytest.raises(CheckpointError, match="routed by 'hash/0'"):
+            read_checkpoint(path)
+
+    def test_header_without_routing_still_loads(self, tmp_path):
+        path = write_checkpoint(tmp_path / "c.bin", SPEC, 500, engine_state())
+        rewrite_header(path, lambda header: header.pop("routing"))
+        assert read_checkpoint(path).state["kind"] == "bare"
 
     def test_magic_is_versioned(self, tmp_path):
         path = write_checkpoint(tmp_path / "c.bin", SPEC, 1, engine_state(10))

@@ -14,6 +14,7 @@ from repro import (
     SRC_HIERARCHY,
     ExactWindowCounter,
     HMemento,
+    Memento,
     PersistentProcessExecutor,
     PipelineConfig,
     ShardedSketch,
@@ -22,6 +23,7 @@ from repro.engine import SketchSpec, build_engine
 from repro.netwide.controller import SketchController
 from repro.netwide.messages import BatchReport
 from repro.sharding.executors import _shard_state
+from repro.sharding.sharded import _shard_estimates
 
 WINDOW = 4000
 
@@ -261,3 +263,175 @@ def _poison(shard):
 
 def _stall(shard, seconds):
     time.sleep(seconds)
+
+
+def memento_factory(i):
+    return Memento(window=WINDOW, counters=64, tau=0.25, seed=5 + i)
+
+
+def read_workload(mode, seed=23):
+    """A packet stream and 50 keys to read: int flows read by their
+    owner (route), or packets read as source prefixes (sum)."""
+    rng = random.Random(seed)
+    if mode == "route":
+        stream = [min(rng.randrange(1, 400), rng.randrange(1, 400)) for _ in range(6000)]
+        return stream, list(range(1, 51))
+    subnets = [rng.randrange(1, 255) << 24 for _ in range(8)]
+    stream = [rng.choice(subnets) | rng.randrange(1 << 24) for _ in range(6000)]
+    keys = sorted(
+        {SRC_HIERARCHY.prefix_at(packet, pattern)
+         for packet in stream[:40]
+         for pattern in range(SRC_HIERARCHY.num_patterns)}
+    )
+    return stream, keys[:50]
+
+
+def read_ensemble(executor, mode, pipeline):
+    return ShardedSketch(
+        hmemento_factory if mode == "sum" else memento_factory,
+        shards=2,
+        executor=executor,
+        query_mode=mode,
+        pipeline=PipelineConfig(buffer_size=256) if pipeline else None,
+    )
+
+
+READS = ("query", "query_lower", "query_point")
+
+
+def answers(sketch, keys, reads=READS):
+    return [getattr(sketch, read)(key) for key in keys for read in reads]
+
+
+def exact_sum_ensemble(executor):
+    return ShardedSketch(
+        lambda i: ExactWindowCounter(64), shards=2, executor=executor, query_mode="sum"
+    )
+
+
+class TestReadCache:
+    """Repeated point reads: one batched worker reply per write epoch,
+    answers bit-identical to a serial ensemble."""
+
+    @pytest.mark.parametrize("pipeline", [False, True], ids=["sync", "pipelined"])
+    @pytest.mark.parametrize("mode", ["route", "sum"])
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_answers_match_serial_across_epochs(self, transport, mode, pipeline):
+        stream, keys = read_workload(mode)
+        rng = random.Random(7)
+        reference = read_ensemble("serial", mode, False)
+        executor = PersistentProcessExecutor(transport=transport)
+        with read_ensemble(executor, mode, pipeline) as sharded:
+            for epoch in range(8):
+                chunk = stream[epoch * 700 : (epoch + 1) * 700]
+                for sketch in (reference, sharded):
+                    sketch.update_many(chunk)
+                    if epoch % 3 == 1:
+                        sketch.ingest_gap(7)
+                asked = keys if epoch % 2 == 0 else rng.sample(keys, 30) + keys[:5]
+                for i, key in enumerate(asked):
+                    if epoch >= 5 and i == 10:
+                        # a write mid-epoch opens a new one
+                        for sketch in (reference, sharded):
+                            sketch.update(stream[i])
+                    for read in READS:
+                        got = getattr(sharded, read)(key)
+                        assert got == getattr(reference, read)(key), (epoch, key, read)
+            assert sharded.point_read_hits > 0
+
+    @pytest.mark.parametrize("pipeline", [False, True], ids=["sync", "pipelined"])
+    @pytest.mark.parametrize("mode", ["route", "sum"])
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_warm_epoch_costs_one_call(self, transport, mode, pipeline):
+        stream, keys = read_workload(mode)
+        assert len(keys) == 50
+        reference = read_ensemble("serial", mode, False)
+        executor = CountingExecutor(transport=transport)
+        with read_ensemble(executor, mode, pipeline) as sharded:
+            for sketch in (reference, sharded):
+                sketch.update_many(stream[:3000])
+            first = [sharded.query_point(key) for key in keys]
+            for sketch in (reference, sharded):
+                sketch.update_many(stream[3000:])
+            asked = len(executor.calls)
+            second = [sharded.query_point(key) for key in keys]
+            assert len(executor.calls) == asked + 1
+            assert executor.calls[-1][0] is _shard_estimates
+            assert sharded.point_read_hits == len(keys) - 1
+            assert second == [reference.query_point(key) for key in keys]
+            assert first != second
+
+    @pytest.mark.parametrize("mode", ["route", "sum"])
+    @pytest.mark.parametrize("transport", ["shm", "pipe"])
+    def test_no_stale_answer_after_writes_gaps_and_restore(self, transport, mode):
+        stream, keys = read_workload(mode)
+        reference = read_ensemble("serial", mode, False)
+        executor = PersistentProcessExecutor(transport=transport)
+        with read_ensemble(executor, mode, True) as sharded:
+
+            def check():
+                # read twice: the second pass is served by the cache
+                expected = answers(reference, keys)
+                assert answers(sharded, keys) == expected
+                assert answers(sharded, keys) == expected
+                return expected
+
+            for sketch in (reference, sharded):
+                sketch.update_many(stream[:3000])
+            check()
+            # packets of keys the cache already answered
+            hot = keys[:5] if mode == "route" else stream[:5]
+            for sketch in (reference, sharded):
+                sketch.update_many(stream[3000:3050] + hot * 20)
+            check()
+            for sketch in (reference, sharded):
+                sketch.ingest_gap(1)
+            check()
+            snapshot = pickle.loads(pickle.dumps(sharded.state_snapshot()))
+            ref_snapshot = pickle.loads(pickle.dumps(reference.state_snapshot()))
+            at_snapshot = check()
+            for sketch in (reference, sharded):
+                sketch.update_many(stream[3050:4500])
+            assert check() != at_snapshot
+            sharded.restore_state(snapshot)
+            reference.restore_state(ref_snapshot)
+            assert check() == at_snapshot
+            for sketch in (reference, sharded):
+                sketch.update_many(stream[4500:])
+            check()
+
+    def test_poisoned_worker_fails_first_read_of_warm_epoch(self):
+        executor = PersistentProcessExecutor()
+        sharded = exact_sum_ensemble(executor)
+        try:
+            sharded.update_many(list(range(50)))
+            warm = [sharded.query_point(key) for key in range(20)]
+            sharded.update_many(list(range(50, 60)))
+            executor.submit(_poison, [(), ()])
+            with pytest.raises(RuntimeError, match="ValueError: boom"):
+                sharded.query_point(3)
+            # the failed call spent the prefetch list; the worker stays poisoned
+            with pytest.raises(RuntimeError, match="ValueError: boom"):
+                sharded.query_point(4)
+        finally:
+            with pytest.raises(RuntimeError, match="shard worker"):
+                sharded.close()
+        assert warm and not executor.seeded
+
+    def test_wedged_worker_fails_first_read_of_warm_epoch(self):
+        executor = PersistentProcessExecutor()
+        executor.call = functools.partial(
+            PersistentProcessExecutor.call, executor, timeout=0.2
+        )
+        sharded = exact_sum_ensemble(executor)
+        try:
+            sharded.update_many(list(range(50)))
+            warm = [sharded.query_point(key) for key in range(20)]
+            sharded.update_many(list(range(50, 60)))
+            executor.submit(_stall, [(1.0,), (1.0,)])
+            with pytest.raises(RuntimeError, match="worker 0 sent no reply"):
+                sharded.query_point(3)
+        finally:
+            with pytest.raises(RuntimeError, match="sent no reply"):
+                sharded.close()
+        assert warm and not executor.seeded
