@@ -14,8 +14,9 @@ a checkpoint is sufficient on its own, no side-channel config.  The
 ``routing`` field names the shard routing the state was partitioned
 under (:data:`~repro.sharding.sharded.ROUTING_ID`); a checkpoint stamped
 with another routing is refused, since its shards would be asked for
-keys they never saw.  A header without the field predates the stamp and
-still loads.  The
+keys they never saw.  A header without the field predates the stamp: its
+shards were routed by ``hash()``, so it loads only when its spec runs on
+one shard.  The
 ``position`` field is the global stream position (items accepted) at
 snapshot time: a supervisor replays the tail from there and, under
 fixed seeds, lands byte-identical to an uninterrupted run (pinned by
@@ -155,12 +156,6 @@ def read_checkpoint(path: Union[str, Path]) -> Checkpoint:
         raise CheckpointError(
             f"{path}: unsupported schema {header.get('schema')!r}"
         )
-    routing = header.get("routing", ROUTING_ID)
-    if routing != ROUTING_ID:
-        raise CheckpointError(
-            f"{path}: state was routed by {routing!r}, this build routes "
-            f"by {ROUTING_ID!r}"
-        )
     blob = raw[offset:]
     if len(blob) != header["state_len"]:
         raise CheckpointError(
@@ -173,6 +168,18 @@ def read_checkpoint(path: Union[str, Path]) -> Checkpoint:
         spec = SketchSpec.from_dict(header["spec"])
     except ValueError as exc:
         raise CheckpointError(f"{path}: embedded spec is invalid: {exc}") from None
+    routing = header.get("routing")
+    shards = spec.sharding.shards if spec.sharding is not None else 1
+    if routing is None and shards > 1:
+        raise CheckpointError(
+            f"{path}: state of {shards} shards predates the routing stamp "
+            f"(routed by hash(), which this build no longer uses)"
+        )
+    if routing is not None and routing != ROUTING_ID:
+        raise CheckpointError(
+            f"{path}: state was routed by {routing!r}, this build routes "
+            f"by {ROUTING_ID!r}"
+        )
     try:
         state = pickle.loads(blob)
     except Exception as exc:

@@ -39,11 +39,13 @@ then lives in the workers, and reads go where the state is.  Point reads — ``q
 ``query_lower``, ``query_point`` — flush, then ask the workers through
 the executor's ``call``: route mode asks the owning shard's worker, sum
 mode asks every worker and adds the answers, and only floats cross the
-pipes.  Point-read answers are cached per ingestion version, and the
-first worker call of a write epoch also asks for every key the previous
-read epoch asked (up to :data:`PREFETCH_KEYS`), so a detection loop that
-re-reads the same keys after each batch pays one round trip per epoch,
-not one per key.  Whole-sketch reads (``entries``, ``merged_window``,
+pipes.  Point-read answers are cached per ingestion version.  When a
+write epoch re-asks a key the previous read epoch asked, that worker
+call also asks for every other key the previous epoch asked of the same
+workers (up to :data:`PREFETCH_KEYS`), so a detection loop that re-reads
+the same keys after each batch pays one round trip per epoch in sum mode
+and one per owning worker in route mode, not one per key; reads that
+never repeat a key stay one round trip each.  Whole-sketch reads (``entries``, ``merged_window``,
 ``heavy_hitters``, ``output``, ``candidates``, ``shards``,
 ``state_snapshot``) and ``close`` pull the full shard state back into
 the parent once per ingestion epoch (``_sync_shards``) and merge it
@@ -104,11 +106,13 @@ QUERY_MODES = ("route", "sum")
 #: that never saw it.
 ROUTING_ID = "fmix64+blake2b8/1"
 
-#: Most keys one read epoch remembers per read kind, and so the most
-#: keys the next epoch's first worker call asks for in one reply.
+#: Most keys one read epoch remembers per read kind and asked worker,
+#: and so the most keys one worker call of the next epoch asks for.
 PREFETCH_KEYS = 1024
 
-_MISS = object()
+#: A point read's kind (``names``) and asked worker (route mode: the
+#: key's owner; ``None``: every worker, as in sum mode).
+_ReadSlot = Tuple[Tuple[str, ...], Optional[int]]
 
 
 def _mix64(value: int) -> int:
@@ -421,14 +425,16 @@ class ShardedSketch(BatchIngest):
         self._merged_entries: Optional[List[Entry]] = None
         self._merged_view: Optional[MergedWindowSketch] = None
         #: point reads answered by resident workers: the answers for
-        #: version ``_read_version`` keyed by ``(names, key)``, the keys
-        #: each read kind (``names``) asked in that epoch, and the keys it
-        #: asked in the epoch before, which the epoch's first worker call
-        #: prefetches
+        #: version ``_read_version`` keyed by ``(names, key)``, each with
+        #: the worker it was asked of; the keys each read slot asked in
+        #: that epoch; and the keys each slot asked in the epoch before,
+        #: which a re-asked key's worker call prefetches
         self._read_version = -1
-        self._read_cache: Dict[Tuple[Tuple[str, ...], Hashable], float] = {}
-        self._read_keys: Dict[Tuple[str, ...], Dict[Hashable, None]] = {}
-        self._prefetch_keys: Dict[Tuple[str, ...], List[Hashable]] = {}
+        self._read_cache: Dict[
+            Tuple[Tuple[str, ...], Hashable], Tuple[float, Optional[int]]
+        ] = {}
+        self._read_keys: Dict[_ReadSlot, Dict[Hashable, None]] = {}
+        self._prefetch_keys: Dict[_ReadSlot, Dict[Hashable, None]] = {}
         #: worker calls made by point reads, and point reads the cache
         #: answered without one
         self.point_read_calls = 0
@@ -762,10 +768,11 @@ class ShardedSketch(BatchIngest):
         before any flush: an unchanged version means no write since.
         """
         if self._read_version == self._version:
-            answer = self._read_cache.get((names, key), _MISS)
-            if answer is not _MISS:
+            cached = self._read_cache.get((names, key))
+            if cached is not None:
+                answer, worker = cached
                 self.point_read_hits += 1
-                self._remember(names, key)
+                self._remember((names, worker), key)
                 return answer
         self.flush()
         if self._shards_stale:
@@ -778,48 +785,47 @@ class ShardedSketch(BatchIngest):
         """A point-read miss, answered by the resident workers.
 
         The first miss at a new version opens a read epoch: the keys the
-        previous epoch asked become its prefetch list.  The first miss of
-        each read kind then asks for ``key`` plus that list in one
-        ``call`` and caches every answer; later misses ask for their own
-        key only.  Route mode asks only the owner when every asked key
-        has the same one (always so with nothing to prefetch), else every
-        worker, keeping each key's owner's answer; sum mode adds the
+        previous epoch asked become its prefetch lists, one per read kind
+        and asked worker (route mode: the key's owner; sum mode: all).
+        A miss asks its workers for ``key`` alone, unless ``key`` is on
+        its slot's list: the epoch is re-asking the last one's keys, so
+        the call asks for the whole list too and every answer is cached.
+        Reads that never repeat thus never make a worker evaluate stale
+        keys.  Route mode keeps the owner's answer; sum mode adds the
         workers' answers per key in shard order.  A key joins the
         epoch's read set only after a successful reply, and a failed call
-        has already spent the prefetch list, so a key that raises cannot
+        has already spent its prefetch list, so a key that raises cannot
         fail the next epoch's reads.
         """
         if self._read_version != self._version:
-            self._prefetch_keys = {
-                kind: list(asked) for kind, asked in self._read_keys.items()
-            }
+            self._prefetch_keys = self._read_keys
             self._read_keys = {}
             self._read_cache = {}
             self._read_version = self._version
-        prefetch = self._prefetch_keys.pop(names, ())
-        keys = list(dict.fromkeys(chain((key,), prefetch)))[:PREFETCH_KEYS]
-        self.point_read_calls += 1
-        if self.query_mode == "route":
-            owners = [self.shard_of(k) for k in keys]
-            if len(set(owners)) == 1:
-                (answers,) = self._executor.call(
-                    _shard_estimates, keys, names, worker=owners[0]
-                )
-            else:
-                replies = self._executor.call(_shard_estimates, keys, names)
-                answers = [replies[j][i] for i, j in enumerate(owners)]
+        owner = self.shard_of(key) if self.query_mode == "route" else None
+        slot = (names, owner)
+        listed = self._prefetch_keys.get(slot, {})
+        if key in listed:
+            del self._prefetch_keys[slot]
+            del listed[key]
+            keys = [key, *listed]
         else:
-            replies = self._executor.call(_shard_estimates, keys, names)
+            keys = [key]
+        self.point_read_calls += 1
+        replies = self._executor.call(_shard_estimates, keys, names, worker=owner)
+        if owner is None:
             answers = [sum(column) for column in zip(*replies)]
+        else:
+            (answers,) = replies
         cache = self._read_cache
         for k, answer in zip(keys, answers):
-            cache[(names, k)] = answer
-        self._remember(names, key)
+            cache[(names, k)] = (answer, owner)
+        self._remember(slot, key)
         return answers[0]
 
-    def _remember(self, names: Tuple[str, ...], key: Hashable) -> None:
+    def _remember(self, slot: _ReadSlot, key: Hashable) -> None:
         """Add ``key`` to this epoch's read set (capped at PREFETCH_KEYS)."""
-        asked = self._read_keys.setdefault(names, {})
+        asked = self._read_keys.setdefault(slot, {})
         if len(asked) < PREFETCH_KEYS:
             asked[key] = None
 

@@ -249,13 +249,16 @@ class TestUnifiedSurface:
             assert (stats["point_read_calls"], stats["point_read_hits"]) == (
                 len(keys), 1
             )
-            # the next epoch asks the same keys in one worker call
+            # the next epoch asks the same keys in one call per owner
+            # (route mode, the default for memento)
+            owners = {sharded.sketch.shard_of(key) for key in keys}
+            assert len(owners) == 2
             sharded.update_many(stream[3000:6000])
             for key in keys:
                 sharded.query_point(key)
             stats = sharded.stats()
             assert (stats["point_read_calls"], stats["point_read_hits"]) == (
-                len(keys) + 1, len(keys)
+                len(keys) + len(owners), len(keys) + 1 - len(owners)
             )
 
     def test_output_falls_back_to_heavy_hitters(self, engine):

@@ -93,6 +93,21 @@ class TestEnvelope:
         rewrite_header(path, lambda header: header.pop("routing"))
         assert read_checkpoint(path).state["kind"] == "bare"
 
+    def test_sharded_header_without_routing_refused(self, tmp_path):
+        # before the stamp, str and tuple keys were routed by hash():
+        # a multi-shard state would be asked on the wrong shards
+        spec = SketchSpec.from_dict(
+            {**SPEC.to_dict(), "sharding": {"shards": 4, "executor": "serial"}}
+        )
+        with build_engine(spec) as engine:
+            engine.update_many(["hot"] * 500)
+            state = engine.snapshot_state()
+        path = write_checkpoint(tmp_path / "c.bin", spec, 500, state)
+        assert read_checkpoint(path).spec.sharding.shards == 4
+        rewrite_header(path, lambda header: header.pop("routing"))
+        with pytest.raises(CheckpointError, match="4 shards predates the routing"):
+            read_checkpoint(path)
+
     def test_magic_is_versioned(self, tmp_path):
         path = write_checkpoint(tmp_path / "c.bin", SPEC, 1, engine_state(10))
         assert path.read_bytes().startswith(MAGIC)

@@ -142,6 +142,7 @@ class CountingExecutor(PersistentProcessExecutor):
         super().__init__(**kwargs)
         self.applies = 0
         self.calls = []
+        self.call_args = []
 
     def submit(self, fn, tasks):
         self.applies += len(tasks)
@@ -153,6 +154,7 @@ class CountingExecutor(PersistentProcessExecutor):
 
     def call(self, fn, *args, **kwargs):
         self.calls.append((fn, kwargs.get("worker")))
+        self.call_args.append(args)
         return super().call(fn, *args, **kwargs)
 
 
@@ -342,7 +344,9 @@ class TestReadCache:
     @pytest.mark.parametrize("pipeline", [False, True], ids=["sync", "pipelined"])
     @pytest.mark.parametrize("mode", ["route", "sum"])
     @pytest.mark.parametrize("transport", ["shm", "pipe"])
-    def test_warm_epoch_costs_one_call(self, transport, mode, pipeline):
+    def test_warm_epoch_costs_one_call_per_asked_worker(
+        self, transport, mode, pipeline
+    ):
         stream, keys = read_workload(mode)
         assert len(keys) == 50
         reference = read_ensemble("serial", mode, False)
@@ -355,11 +359,50 @@ class TestReadCache:
                 sketch.update_many(stream[3000:])
             asked = len(executor.calls)
             second = [sharded.query_point(key) for key in keys]
-            assert len(executor.calls) == asked + 1
-            assert executor.calls[-1][0] is _shard_estimates
-            assert sharded.point_read_hits == len(keys) - 1
+            # sum mode: one call to every worker; route mode: one call
+            # to each owner, never to a worker that owns none of the keys
+            if mode == "route":
+                workers = list(dict.fromkeys(sharded.shard_of(key) for key in keys))
+                assert len(workers) == 2
+            else:
+                workers = [None]
+            assert executor.calls[asked:] == [
+                (_shard_estimates, worker) for worker in workers
+            ]
+            assert sharded.point_read_hits == len(keys) - len(workers)
             assert second == [reference.query_point(key) for key in keys]
             assert first != second
+
+    @pytest.mark.parametrize("mode", ["route", "sum"])
+    def test_keys_not_asked_before_are_asked_alone(self, mode):
+        stream, keys = read_workload(mode)
+        reference = read_ensemble("serial", mode, False)
+        executor = CountingExecutor(transport="shm")
+        with read_ensemble(executor, mode, False) as sharded:
+            for sketch in (reference, sharded):
+                sketch.update_many(stream[:3000])
+            for key in keys[:25]:
+                sharded.query_point(key)
+            for sketch in (reference, sharded):
+                sketch.update_many(stream[3000:])
+            asked = len(executor.calls)
+            fresh = [sharded.query_point(key) for key in keys[25:]]
+            # nothing repeats: one call per key, no stale key prefetched
+            assert fresh == [reference.query_point(key) for key in keys[25:]]
+            assert [args[0] for args in executor.call_args[asked:]] == [
+                [key] for key in keys[25:]
+            ]
+            # the first re-asked key brings its workers' share of the
+            # previous epoch along
+            assert sharded.query_point(keys[0]) == reference.query_point(keys[0])
+            prefetched = executor.call_args[-1][0]
+            owner = executor.calls[-1][1]
+            assert prefetched == [keys[0]] + [
+                key
+                for key in keys[1:25]
+                if owner is None or sharded.shard_of(key) == owner
+            ]
+            assert len(prefetched) > 1
 
     @pytest.mark.parametrize("mode", ["route", "sum"])
     @pytest.mark.parametrize("transport", ["shm", "pipe"])
